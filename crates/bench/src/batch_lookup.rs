@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use index_traits::{ConcurrentOrderedIndex, OrderedIndex};
-use netsim::KvService;
+use netsim::ShardServer;
 use wormhole::WormholeUnsafe;
 
 use crate::shard_scale::{build_sharded, build_unsharded, resident_keys, shard_bench_config};
@@ -201,9 +201,11 @@ pub fn measure_batch_lookup(keys: usize, batches: &[usize], rounds: usize) -> Ve
     out
 }
 
-/// Figure-12-style series: client-observed throughput of the netsim
-/// service loop (decode → batched `get_batch` execution → encode) at the
-/// paper's 800-request message size, per concurrent frontend.
+/// Figure-12-style series: client-observed throughput of a 1-worker netsim
+/// `ShardServer` (decode → batched `get_batch` execution → encode →
+/// reassembly) at the paper's 800-request message size, per concurrent
+/// frontend. Every frontend is served through `dyn ConcurrentOrderedIndex`,
+/// i.e. as a single shard.
 pub fn measure_service_batches(keys: usize, batch: usize) -> Vec<ServiceBatchSample> {
     let resident = resident_keys(keys);
     let order = probe_order(keys);
@@ -216,7 +218,7 @@ pub fn measure_service_batches(keys: usize, batch: usize) -> Vec<ServiceBatchSam
         ("sharded_nofast", Arc::new(build_sharded(4, keys, false))),
     ];
     for (frontend, index) in frontends {
-        let service = KvService::with_batch_size(index, batch);
+        let service = ShardServer::with_batch_size(index, 1, batch);
         let stats = service.run_lookups(&probe_keys);
         assert_eq!(stats.hits, keys, "{frontend}: every service probe hits");
         // Scrape the server in-band after the run: the STATS wire command

@@ -67,8 +67,10 @@ fn main() {
          section per op or batch). get_batch pipelines up to BATCH_WINDOW=16 probes: hashes computed up front, \
          MetaTrieHT buckets prefetched, LPM binary-search steps round-robined so concurrent \
          cache misses overlap; batch=1 degenerates to the windowed engine with one probe. The \
-         service series is the netsim client/server loop (encode, channel, decode, batched \
-         execution) at the paper's 800-request message size, client-observed. The speedup from \
+         service series is a 1-worker netsim ShardServer (client encode, dispatcher decode, \
+         worker batched execution, collector reassembly, each on its own thread, over \
+         channels) at the paper's 800-request message size, client-observed; every frontend \
+         is served as one shard. The speedup from \
          overlap depends on how much of the probe working set misses cache: small keysets fit \
          in LLC and show mostly the reduced per-key dispatch cost; the 1.2M-key set is where \
          memory-level parallelism shows. Single-vCPU hosts still benefit: the overlap is \

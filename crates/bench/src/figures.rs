@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use index_traits::ConcurrentOrderedIndex;
-use netsim::{KvService, LinkModel};
+use netsim::{LinkModel, ShardServer};
 use wormhole::{Wormhole, WormholeConfig};
 
 use workloads::{
@@ -264,7 +264,7 @@ pub fn fig12(scale: &FigureScale) -> Vec<Row> {
             for (i, key) in wl.keyset.keys.iter().enumerate() {
                 wh.set(key, i as u64);
             }
-            let service = KvService::new(wh);
+            let service = ShardServer::new(wh, 1);
             let sample: Vec<Vec<u8>> = wl
                 .probes
                 .iter()

@@ -13,21 +13,22 @@
 //!   describing bandwidth, latency, and per-message overhead of the link;
 //!   the model converts a measured server-side processing rate into the
 //!   throughput the client would observe through the link.
-//! * [`service`] — an in-process client/server pair connected by channels
-//!   that actually encodes requests into buffers, batches them (800 per
-//!   message, like the paper), decodes them on the server thread, executes
-//!   them against any index, and ships encoded responses back. The server
-//!   decodes a whole message before executing it and feeds runs of
-//!   consecutive point lookups through the index's `get_batch`, so an
-//!   800-request lookup batch becomes pipelined probes with overlapped
-//!   cache misses rather than 800 serial descents.
-//! * [`server`] — the multi-worker serving layer over the sharded front:
-//!   a [`server::ShardServer`] dispatches each decoded message across N
-//!   shard-affine worker threads (routing the whole message against one
-//!   router-table snapshot via `ShardedWormhole::route_batch`), overlaps
-//!   the decode/execute/encode stages of successive messages, serves
-//!   streaming scans as stateless [`wire::WireRequest::Scan`] pages, and
-//!   reassembles responses in request order. See
+//! * [`server`] — the batched serving layer: an in-process client and a
+//!   [`server::ShardServer`] connected by channels that actually encode
+//!   requests into buffers, batch them (800 per message, like the paper),
+//!   decode them on the server, execute them against the index, and ship
+//!   encoded responses back. The server decodes a whole message before
+//!   executing it and feeds runs of consecutive point lookups through the
+//!   index's `get_batch`, so an 800-request lookup batch becomes pipelined
+//!   probes with overlapped cache misses rather than 800 serial descents.
+//!   It dispatches each message across N shard-affine worker threads
+//!   (routing the whole message against one router-table snapshot via
+//!   [`server::Route::route_batch`]), overlaps the decode/execute/encode
+//!   stages of successive messages, serves streaming scans as stateless
+//!   [`wire::WireRequest::Scan`] pages, and reassembles responses in
+//!   request order. A single-shard index (a plain `Wormhole`, or any
+//!   `dyn ConcurrentOrderedIndex<u64>`) served by one worker is the
+//!   paper's single request loop. See
 //!   `docs/src/adr-003-serving-threading.md` for the threading model and
 //!   `docs/src/wire-protocol.md` for the normative framing spec.
 //!
@@ -37,20 +38,18 @@
 
 //! # Observability
 //!
-//! The server thread records per-op-type service latency histograms and
+//! The serving threads record per-op-type service latency histograms and
 //! the decoded batch-size distribution into a [`wh_telemetry::Registry`]
-//! the service owns ([`KvService::registry`]); index metrics can be
+//! the server owns ([`ShardServer::registry`]); index metrics can be
 //! registered into the same registry before serving. The wire protocol
 //! carries a [`wire::WireRequest::Stats`] command whose response is the
 //! registry's full text exposition — a client can scrape the server
 //! in-band, through the same batched request stream as its data traffic.
 
 pub mod server;
-pub mod service;
 pub mod telemetry;
 pub mod wire;
 
-pub use server::{ShardServer, ShardServerMetrics};
-pub use service::{KvService, ServiceStats};
+pub use server::{Route, ServiceStats, ShardServer, ShardServerMetrics};
 pub use telemetry::ServiceMetrics;
 pub use wire::{LinkModel, WireRequest, WireResponse};

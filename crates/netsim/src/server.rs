@@ -1,6 +1,9 @@
-//! The multi-worker batched serving layer over the sharded front: a
-//! [`ShardServer`] turns one `ShardedWormhole` into a pipelined
-//! request/response service with shard-affine execution threads.
+//! The batched serving layer: a [`ShardServer`] turns one index into a
+//! pipelined request/response service with shard-affine execution
+//! threads. It is the workspace's only server; the index is any [`Route`]
+//! implementor — a [`ShardedWormhole`] by default, or a single-shard index
+//! such as a plain `Wormhole`, which runs the paper's one batched request
+//! loop.
 //!
 //! # Threading model
 //!
@@ -17,11 +20,12 @@
 //!
 //! * The **dispatcher** decodes each incoming batch and routes *every*
 //!   request in it against a single router-table snapshot
-//!   ([`ShardedWormhole::route_batch`] — one router protection span for
-//!   the whole message, the same discipline as the index's own
+//!   ([`Route::route_batch`] — for a sharded front one router protection
+//!   span for the whole message, the same discipline as the index's own
 //!   `get_batch`), then splits the message into per-worker sub-batches.
 //!   Shards map to workers contiguously (`worker = shard * workers /
-//!   shards`), so each worker's working set stays range-local.
+//!   shards`), so each worker's working set stays range-local. A
+//!   single-shard index sends every slot to worker 0.
 //! * Each **worker** executes its sub-batch in slot order, batching runs
 //!   of consecutive point lookups through the index's pipelined
 //!   `get_batch`, and encodes responses into one buffer with per-item end
@@ -30,6 +34,10 @@
 //!   and each participating worker's buffer, and reassembles the response
 //!   message by walking the slots in order — each worker's slots ascend,
 //!   so reassembly is a sequential cursor per worker, no sorting.
+//!
+//! A stage that panics closes its channels; every other stage then runs
+//! down, and [`ShardServer::run`] re-raises the first stage's panic on the
+//! client thread instead of hanging.
 //!
 //! # Ordering and correctness under migration
 //!
@@ -45,7 +53,7 @@
 //! snapshot — equal keys route equally, land on the same worker, and the
 //! worker executes slots in order. Across messages it holds because the
 //! shard→worker map is a pure function of the routing epoch, and when
-//! [`ShardedWormhole::route_batch`] reports a *new* epoch the dispatcher
+//! [`Route::route_batch`] reports a *new* epoch the dispatcher
 //! **flushes the pipeline** (waits for every in-flight message to
 //! complete) before dispatching under the new map — counted by
 //! [`ShardServerMetrics::epoch_flushes`]. Operations on *different* keys
@@ -57,16 +65,101 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use index_traits::ConcurrentOrderedIndex;
-use wh_shard::ShardedWormhole;
+use wh_shard::{ShardedWormhole, Wormhole};
 use wh_telemetry::{Counter, Histogram, Registry};
 
-use crate::service::{RequestBatch, ResponseBatch, ServiceStats};
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{WireRequest, WireResponse};
+
+/// One batch of encoded requests travelling client → server.
+struct RequestBatch {
+    payload: Bytes,
+    /// Number of requests in the batch.
+    count: usize,
+}
+
+/// One batch of encoded responses travelling server → client.
+struct ResponseBatch {
+    payload: Bytes,
+}
+
+/// Throughput accounting returned by [`ShardServer::run`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceStats {
+    /// Requests completed.
+    pub operations: usize,
+    /// Wall-clock seconds spent (client-side, send to last response).
+    pub seconds: f64,
+    /// Total request payload bytes sent.
+    pub request_bytes: usize,
+    /// Total response payload bytes received.
+    pub response_bytes: usize,
+    /// Number of responses that carried a value (hits).
+    pub hits: usize,
+}
+
+impl ServiceStats {
+    /// Millions of operations per second observed by the client.
+    pub fn mops(&self) -> f64 {
+        self.operations as f64 / self.seconds / 1e6
+    }
+
+    /// Average request size in bytes.
+    pub fn avg_request_bytes(&self) -> f64 {
+        self.request_bytes as f64 / self.operations.max(1) as f64
+    }
+
+    /// Average response size in bytes.
+    pub fn avg_response_bytes(&self) -> f64 {
+        self.response_bytes as f64 / self.operations.max(1) as f64
+    }
+}
+
+/// How the dispatcher spreads a message over workers. The defaults are the
+/// single-shard case: every slot routes to shard 0, the routing epoch never
+/// changes (so the pipeline never flushes), and the index registers no
+/// metrics of its own.
+pub trait Route: ConcurrentOrderedIndex<u64> {
+    /// Number of shards slots can route to.
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    /// Appends the shard of every key to `out`, all routed against one
+    /// routing snapshot, and returns that snapshot's epoch. Every shard
+    /// must be below [`Route::shard_count`].
+    fn route_batch(&self, keys: &[&[u8]], out: &mut Vec<usize>) -> u64 {
+        out.resize(out.len() + keys.len(), 0);
+        0
+    }
+
+    /// Registers the index's own metrics into the server's registry under
+    /// `<prefix>_…` names.
+    fn register_metrics(&self, _registry: &Registry, _prefix: &str) {}
+}
+
+impl Route for ShardedWormhole<u64> {
+    fn shard_count(&self) -> usize {
+        ShardedWormhole::shard_count(self)
+    }
+
+    fn route_batch(&self, keys: &[&[u8]], out: &mut Vec<usize>) -> u64 {
+        ShardedWormhole::route_batch(self, keys, out)
+    }
+
+    fn register_metrics(&self, registry: &Registry, prefix: &str) {
+        ShardedWormhole::register_metrics(self, registry, prefix);
+    }
+}
+
+impl Route for Wormhole<u64> {}
+
+impl Route for dyn ConcurrentOrderedIndex<u64> {}
 
 /// One worker's share of a decoded message: the original slot index of
 /// each request (ascending) plus the request itself.
@@ -120,12 +213,11 @@ impl ShardServerMetrics {
     }
 }
 
-/// A batched serving layer over a [`ShardedWormhole`]: N shard-affine
-/// worker threads behind a routing dispatcher and a reassembling
-/// collector. See the [module docs](self) for the threading model and the
-/// ordering contract.
-pub struct ShardServer {
-    index: Arc<ShardedWormhole<u64>>,
+/// A batched serving layer over an index: N shard-affine worker threads
+/// behind a routing dispatcher and a reassembling collector. See the
+/// [module docs](self) for the threading model and the ordering contract.
+pub struct ShardServer<I: ?Sized + Route = ShardedWormhole<u64>> {
+    index: Arc<I>,
     workers: usize,
     batch_size: usize,
     registry: Arc<Registry>,
@@ -146,24 +238,20 @@ fn routing_key(req: &WireRequest) -> &[u8] {
     }
 }
 
-impl ShardServer {
+impl<I: ?Sized + Route + 'static> ShardServer<I> {
     /// Creates a serving layer with the paper's batch size of 800 requests
     /// per message. `workers` is the number of execution threads.
-    pub fn new(index: Arc<ShardedWormhole<u64>>, workers: usize) -> Self {
+    pub fn new(index: Arc<I>, workers: usize) -> Self {
         Self::with_batch_size(index, workers, 800)
     }
 
     /// Creates a serving layer with an explicit wire batch size.
     ///
-    /// The index's own metrics (router path counters, migration progress,
-    /// per-shard op counters) are registered into the server's registry
-    /// under `shard_…` names, so a wire-level [`WireRequest::Stats`] probe
-    /// exposes the whole serving stack.
-    pub fn with_batch_size(
-        index: Arc<ShardedWormhole<u64>>,
-        workers: usize,
-        batch_size: usize,
-    ) -> Self {
+    /// The index's own metrics (for a sharded front: router path counters,
+    /// migration progress, per-shard op counters) are registered into the
+    /// server's registry under `shard_…` names, so a wire-level
+    /// [`WireRequest::Stats`] probe exposes the whole serving stack.
+    pub fn with_batch_size(index: Arc<I>, workers: usize, batch_size: usize) -> Self {
         assert!(workers > 0);
         assert!(batch_size > 0);
         let registry = Arc::new(Registry::new());
@@ -183,11 +271,13 @@ impl ShardServer {
     }
 
     /// The served index.
-    pub fn index(&self) -> &Arc<ShardedWormhole<u64>> {
+    pub fn index(&self) -> &Arc<I> {
         &self.index
     }
 
     /// The metrics registry the [`WireRequest::Stats`] command renders.
+    /// Register further metrics here before serving to make them
+    /// scrapeable over the wire.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -203,7 +293,8 @@ impl ShardServer {
     }
 
     /// Spawns the dispatcher, the workers, and the collector; returns the
-    /// request sender, the response receiver, and every join handle.
+    /// request sender, the response receiver, and every join handle
+    /// (workers first).
     fn spawn(
         &self,
     ) -> (
@@ -212,7 +303,6 @@ impl ShardServer {
         Vec<JoinHandle<()>>,
     ) {
         let workers = self.workers;
-        let shard_count = self.index.shard_count();
         let (req_tx, req_rx) = bounded::<RequestBatch>(16);
         let (resp_tx, resp_rx) = bounded::<ResponseBatch>(16);
         let (assign_tx, assign_rx) = bounded::<Assignment>(64);
@@ -234,7 +324,7 @@ impl ShardServer {
             let registry = Arc::clone(&self.registry);
             let metrics = self.metrics.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(&work_rx, &out_tx, &index, &registry, &metrics);
+                worker_loop(&work_rx, &out_tx, &*index, &registry, &metrics);
             }));
         }
 
@@ -248,8 +338,7 @@ impl ShardServer {
                     &work_txs,
                     &assign_tx,
                     &completed_rx,
-                    &index,
-                    shard_count,
+                    &*index,
                     &metrics,
                     &server_metrics,
                 );
@@ -266,6 +355,10 @@ impl ShardServer {
     /// Runs a stream of requests through the serving layer and reports
     /// client-side statistics. Client-observed round-trip latency lands in
     /// [`ServiceMetrics::client_rtt_ns`], once per request.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any serving thread that died during the run.
     pub fn run(&self, requests: &[WireRequest]) -> ServiceStats {
         self.run_with(requests, |_| {})
     }
@@ -284,7 +377,34 @@ impl ShardServer {
         mut on_resp: impl FnMut(&WireResponse),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handles) = self.spawn();
-        let start = std::time::Instant::now();
+        let stats = self.client_loop(requests, &req_tx, &resp_rx, &mut on_resp);
+        // Close both client ends before joining: after a stage dies
+        // mid-run the survivors may be blocked on either channel, and
+        // only a closed channel lets them run down.
+        drop((req_tx, resp_rx));
+        let mut panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        stats.expect("serving threads hung up early")
+    }
+
+    /// The client half of one run: encodes and sends the request messages
+    /// with up to 8 in flight, and decodes the responses. `None` when the
+    /// server hangs up early (a serving thread died).
+    fn client_loop(
+        &self,
+        requests: &[WireRequest],
+        req_tx: &Sender<RequestBatch>,
+        resp_rx: &Receiver<ResponseBatch>,
+        on_resp: &mut impl FnMut(&WireResponse),
+    ) -> Option<ServiceStats> {
+        let start = Instant::now();
         let mut stats = ServiceStats {
             operations: 0,
             seconds: 0.0,
@@ -292,29 +412,32 @@ impl ShardServer {
             response_bytes: 0,
             hits: 0,
         };
-        let mut in_flight: VecDeque<Option<std::time::Instant>> = VecDeque::new();
+        // Send times of in-flight messages, FIFO: the collector answers
+        // messages in arrival order, so the front entry is always the one
+        // the next response completes.
+        let mut in_flight: VecDeque<Option<Instant>> = VecDeque::new();
         let metrics = &self.metrics;
-        let mut drain =
-            |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<std::time::Instant>>| {
-                let batch = resp_rx.recv().expect("server alive");
-                stats.response_bytes += batch.payload.len();
-                let mut payload = batch.payload;
-                let mut count = 0u64;
-                while let Some(resp) = WireResponse::decode(&mut payload) {
-                    if !matches!(resp, WireResponse::Miss) {
-                        stats.hits += 1;
-                    }
-                    stats.operations += 1;
-                    count += 1;
-                    on_resp(&resp);
+        let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
+            let batch = resp_rx.recv().ok()?;
+            stats.response_bytes += batch.payload.len();
+            let mut payload = batch.payload;
+            let mut count = 0u64;
+            while let Some(resp) = WireResponse::decode(&mut payload) {
+                if !matches!(resp, WireResponse::Miss) {
+                    stats.hits += 1;
                 }
-                let sent = in_flight.pop_front().expect("a response implies a send");
-                if let Some(sent) = sent {
-                    metrics
-                        .client_rtt_ns
-                        .record_n(sent.elapsed().as_nanos() as u64, count);
-                }
-            };
+                stats.operations += 1;
+                count += 1;
+                on_resp(&resp);
+            }
+            let sent = in_flight.pop_front().expect("a response implies a send");
+            if let Some(sent) = sent {
+                metrics
+                    .client_rtt_ns
+                    .record_n(sent.elapsed().as_nanos() as u64, count);
+            }
+            Some(())
+        };
         for chunk in requests.chunks(self.batch_size) {
             let mut buf = BytesMut::with_capacity(chunk.len() * 32);
             for req in chunk {
@@ -327,22 +450,18 @@ impl ShardServer {
                     payload: buf.freeze(),
                     count: chunk.len(),
                 })
-                .expect("server alive");
+                .ok()?;
             // Keep a pipeline of outstanding messages so successive
             // decode/execute/encode stages overlap across the threads.
             if in_flight.len() >= 8 {
-                drain(&mut stats, &mut in_flight);
+                drain(&mut stats, &mut in_flight)?;
             }
         }
         while !in_flight.is_empty() {
-            drain(&mut stats, &mut in_flight);
+            drain(&mut stats, &mut in_flight)?;
         }
         stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
-        drop(req_tx);
-        for handle in handles {
-            handle.join().expect("serving thread");
-        }
-        stats
+        Some(stats)
     }
 
     /// Convenience wrapper: runs point lookups for the given keys.
@@ -388,24 +507,23 @@ impl ShardServer {
 }
 
 /// Decode + route + split. One message per iteration; one
-/// `route_batch` router span per message.
-#[allow(clippy::too_many_arguments)]
-fn dispatcher_loop(
+/// `route_batch` routing snapshot per message.
+fn dispatcher_loop<I: ?Sized + Route>(
     req_rx: &Receiver<RequestBatch>,
     work_txs: &[Sender<WorkBatch>],
     assign_tx: &Sender<Assignment>,
     completed_rx: &Receiver<u64>,
-    index: &ShardedWormhole<u64>,
-    shard_count: usize,
+    index: &I,
     metrics: &ServiceMetrics,
     server_metrics: &ShardServerMetrics,
 ) {
     let workers = work_txs.len();
+    let shard_count = index.shard_count();
     let mut seq = 0u64;
     let mut issued = 0u64;
     let mut completed = 0u64;
-    let mut last_epoch = index.router_epoch();
     let mut routes: Vec<usize> = Vec::new();
+    let mut last_epoch = index.route_batch(&[], &mut routes);
     while let Ok(batch) = req_rx.recv() {
         let mut payload = batch.payload;
         let mut requests = Vec::with_capacity(batch.count);
@@ -438,7 +556,9 @@ fn dispatcher_loop(
             if completed < issued {
                 server_metrics.epoch_flushes.inc();
                 while completed < issued {
-                    completed_rx.recv().expect("collector alive");
+                    if completed_rx.recv().is_err() {
+                        return;
+                    }
                     completed += 1;
                 }
             }
@@ -478,92 +598,18 @@ fn dispatcher_loop(
     }
 }
 
-/// Execute + encode. Slot order within the sub-batch; runs of consecutive
-/// point lookups go through the index's pipelined `get_batch` (which
-/// routes and gathers per shard internally), exactly like the
-/// single-threaded [`KvService`](crate::KvService) server loop.
-fn worker_loop(
+/// Execute + encode, one sub-batch per iteration.
+fn worker_loop<I: ?Sized + Route>(
     work_rx: &Receiver<WorkBatch>,
     out_tx: &Sender<WorkOutput>,
-    index: &Arc<ShardedWormhole<u64>>,
+    index: &I,
     registry: &Registry,
     metrics: &ServiceMetrics,
 ) {
     while let Ok(batch) = work_rx.recv() {
-        let items = batch.items;
-        let mut out = BytesMut::with_capacity(items.len() * 16);
-        let mut ends = Vec::with_capacity(items.len());
-        let mut i = 0usize;
-        while i < items.len() {
-            match &items[i].1 {
-                WireRequest::Get { .. } => {
-                    let run_end = items[i..]
-                        .iter()
-                        .position(|(_, r)| !matches!(r, WireRequest::Get { .. }))
-                        .map_or(items.len(), |off| i + off);
-                    let keys: Vec<&[u8]> = items[i..run_end]
-                        .iter()
-                        .map(|(_, r)| match r {
-                            WireRequest::Get { key } => key.as_slice(),
-                            _ => unreachable!("run contains only gets"),
-                        })
-                        .collect();
-                    let timing = wh_telemetry::start_timing();
-                    let values = index.get_batch(&keys);
-                    if let Some(started) = timing {
-                        metrics
-                            .get_ns
-                            .record_n(started.elapsed().as_nanos() as u64, keys.len() as u64);
-                    }
-                    for value in values {
-                        match value {
-                            Some(v) => WireResponse::Value(v),
-                            None => WireResponse::Miss,
-                        }
-                        .encode(&mut out);
-                        ends.push(out.len());
-                    }
-                    i = run_end;
-                }
-                WireRequest::Set { key, value } => {
-                    let timing = wh_telemetry::start_timing();
-                    let resp = match index.set(key, *value) {
-                        Some(v) => WireResponse::Value(v),
-                        None => WireResponse::Miss,
-                    };
-                    metrics.set_ns.record_elapsed(timing);
-                    resp.encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Range { start, count } => {
-                    let timing = wh_telemetry::start_timing();
-                    let resp = WireResponse::Range(index.range_from(start, *count as usize));
-                    metrics.range_ns.record_elapsed(timing);
-                    resp.encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Scan { start, limit } => {
-                    let timing = wh_telemetry::start_timing();
-                    let page = index.scan_page(start, *limit as usize);
-                    metrics.scan_ns.record_elapsed(timing);
-                    WireResponse::ScanPage {
-                        items: page.items,
-                        resume: page.resume,
-                    }
-                    .encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Stats => {
-                    metrics.stats_requests.inc();
-                    WireResponse::Stats(registry.snapshot().render()).encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-            }
-        }
+        let mut out = BytesMut::with_capacity(batch.items.len() * 16);
+        let mut ends = Vec::with_capacity(batch.items.len());
+        execute_into(index, &batch.items, &mut out, &mut ends, registry, metrics);
         if out_tx
             .send(WorkOutput {
                 seq: batch.seq,
@@ -574,6 +620,83 @@ fn worker_loop(
         {
             return;
         }
+    }
+}
+
+/// Executes `items` in slot order against `index`, appending each
+/// response to `out` and its end offset to `ends`. Runs of consecutive
+/// point lookups go through the index's pipelined `get_batch` so their
+/// cache misses overlap; every other request executes on its own, in
+/// place, so a Get after a Set in the same run observes the write.
+fn execute_into<I: ?Sized + ConcurrentOrderedIndex<u64>>(
+    index: &I,
+    items: &[(usize, WireRequest)],
+    out: &mut BytesMut,
+    ends: &mut Vec<usize>,
+    registry: &Registry,
+    metrics: &ServiceMetrics,
+) {
+    let value_or_miss = |v: Option<u64>| v.map_or(WireResponse::Miss, WireResponse::Value);
+    let mut i = 0usize;
+    while i < items.len() {
+        let resp = match &items[i].1 {
+            WireRequest::Get { .. } => {
+                let run_end = items[i..]
+                    .iter()
+                    .position(|(_, r)| !matches!(r, WireRequest::Get { .. }))
+                    .map_or(items.len(), |off| i + off);
+                let keys: Vec<&[u8]> = items[i..run_end]
+                    .iter()
+                    .map(|(_, r)| match r {
+                        WireRequest::Get { key } => key.as_slice(),
+                        _ => unreachable!("run contains only gets"),
+                    })
+                    .collect();
+                let timing = wh_telemetry::start_timing();
+                let values = index.get_batch(&keys);
+                if let Some(started) = timing {
+                    // Every op in the run shares the run's service time:
+                    // they were executed together.
+                    metrics
+                        .get_ns
+                        .record_n(started.elapsed().as_nanos() as u64, keys.len() as u64);
+                }
+                for value in values {
+                    value_or_miss(value).encode(out);
+                    ends.push(out.len());
+                }
+                i = run_end;
+                continue;
+            }
+            WireRequest::Set { key, value } => {
+                let timing = wh_telemetry::start_timing();
+                let resp = value_or_miss(index.set(key, *value));
+                metrics.set_ns.record_elapsed(timing);
+                resp
+            }
+            WireRequest::Range { start, count } => {
+                let timing = wh_telemetry::start_timing();
+                let resp = WireResponse::Range(index.range_from(start, *count as usize));
+                metrics.range_ns.record_elapsed(timing);
+                resp
+            }
+            WireRequest::Scan { start, limit } => {
+                let timing = wh_telemetry::start_timing();
+                let page = index.scan_page(start, *limit as usize);
+                metrics.scan_ns.record_elapsed(timing);
+                WireResponse::ScanPage {
+                    items: page.items,
+                    resume: page.resume,
+                }
+            }
+            WireRequest::Stats => {
+                metrics.stats_requests.inc();
+                WireResponse::Stats(registry.snapshot().render())
+            }
+        };
+        resp.encode(out);
+        ends.push(out.len());
+        i += 1;
     }
 }
 
@@ -593,7 +716,11 @@ fn collector_loop(
         outputs.resize_with(workers, || None);
         for w in 0..workers {
             if assign.worker_of_slot.contains(&w) {
-                let output = out_rxs[w].recv().expect("worker alive");
+                // A closed output channel means the worker died; its
+                // panic reaches the client through the join.
+                let Ok(output) = out_rxs[w].recv() else {
+                    return;
+                };
                 debug_assert_eq!(
                     output.seq, assign.seq,
                     "per-worker FIFO preserves seq order"
@@ -633,8 +760,16 @@ fn collector_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::KvService;
+    use index_traits::IndexStats;
     use wh_shard::ShardedConfig;
+
+    fn loaded_index(n: usize) -> Arc<Wormhole<u64>> {
+        let wh = Wormhole::new();
+        for i in 0..n as u64 {
+            wh.set(format!("key-{i:08}").as_bytes(), i);
+        }
+        Arc::new(wh)
+    }
 
     fn loaded_sharded(shards: usize, n: usize) -> Arc<ShardedWormhole<u64>> {
         let sample: Vec<Vec<u8>> = (0..n as u64)
@@ -690,15 +825,9 @@ mod tests {
     fn point_streams_match_single_threaded_service() {
         // Per-key program order makes point-op responses deterministic:
         // the multi-worker serving layer must answer a Get/Set stream
-        // exactly like the single-threaded KvService over an equal index.
+        // exactly like serial execution against an equal unsharded index.
         let sharded = loaded_sharded(4, 2000);
-        let unsharded = {
-            let wh = wormhole::Wormhole::new();
-            for i in 0..2000u64 {
-                wh.set(format!("key-{i:08}").as_bytes(), i);
-            }
-            Arc::new(wh)
-        };
+        let oracle = loaded_index(2000);
         let mut requests = Vec::new();
         for i in 0..3000u64 {
             let key = format!("key-{:08}", i * 13 % 2500).into_bytes();
@@ -712,9 +841,18 @@ mod tests {
             }
         }
         let server = ShardServer::with_batch_size(sharded, 4, 128);
-        let service = KvService::with_batch_size(unsharded, 128);
         let (_, served) = server.run_collect(&requests);
-        let (_, reference) = service.run_collect(&requests);
+        let reference: Vec<WireResponse> = requests
+            .iter()
+            .map(|req| {
+                let value = match req {
+                    WireRequest::Get { key } => oracle.get(key),
+                    WireRequest::Set { key, value } => oracle.set(key, *value),
+                    other => unreachable!("point stream holds only Get/Set, got {other:?}"),
+                };
+                value.map_or(WireResponse::Miss, WireResponse::Value)
+            })
+            .collect();
         assert_eq!(served, reference);
     }
 
@@ -805,5 +943,228 @@ mod tests {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         churn.join().expect("churn thread");
         index.check_invariants();
+    }
+
+    #[test]
+    fn lookups_round_trip_through_the_service() {
+        for workers in [1, 4] {
+            let index = loaded_index(5000);
+            let service = ShardServer::with_batch_size(index, workers, 100);
+            let keys: Vec<Vec<u8>> = (0..2000u64)
+                .map(|i| format!("key-{:08}", i * 3 % 5000).into_bytes())
+                .collect();
+            let stats = service.run_lookups(&keys);
+            assert_eq!(stats.operations, 2000);
+            assert_eq!(stats.hits, 2000);
+            assert!(stats.seconds > 0.0);
+            assert!(stats.avg_request_bytes() > 12.0);
+            assert!(stats.mops() > 0.0);
+        }
+    }
+
+    #[test]
+    fn misses_and_writes_are_reported() {
+        for workers in [1, 4] {
+            let index = loaded_index(100);
+            let service = ShardServer::with_batch_size(index.clone(), workers, 32);
+            let requests = vec![
+                WireRequest::Get {
+                    key: b"key-00000001".to_vec(),
+                },
+                WireRequest::Get {
+                    key: b"absent".to_vec(),
+                },
+                WireRequest::Set {
+                    key: b"fresh".to_vec(),
+                    value: 9,
+                },
+                WireRequest::Get {
+                    key: b"fresh".to_vec(),
+                },
+                WireRequest::Range {
+                    start: b"key-00000090".to_vec(),
+                    count: 5,
+                },
+            ];
+            let stats = service.run(&requests);
+            assert_eq!(stats.operations, 5);
+            // Hits: the first get, the get of "fresh", and the range response.
+            assert_eq!(stats.hits, 3);
+            // The write really landed in the index.
+            assert_eq!(index.get(b"fresh"), Some(9));
+        }
+    }
+
+    #[test]
+    fn get_runs_split_around_writes_and_observe_them_in_order() {
+        // Gets after a Set in the same batch must see its effect: if the
+        // server hoisted all lookups into one batched run it would answer
+        // the later gets from the pre-write state and the hit count drops.
+        for workers in [1, 4] {
+            let index = loaded_index(10);
+            let service = ShardServer::with_batch_size(index, workers, 800);
+            let requests = vec![
+                WireRequest::Get {
+                    key: b"fresh".to_vec(),
+                },
+                WireRequest::Set {
+                    key: b"fresh".to_vec(),
+                    value: 1,
+                },
+                WireRequest::Get {
+                    key: b"fresh".to_vec(),
+                },
+                WireRequest::Get {
+                    key: b"absent".to_vec(),
+                },
+                WireRequest::Set {
+                    key: b"fresh".to_vec(),
+                    value: 2,
+                },
+                WireRequest::Get {
+                    key: b"fresh".to_vec(),
+                },
+            ];
+            let stats = service.run(&requests);
+            assert_eq!(stats.operations, 6);
+            // Hits: the get after the first set, the second set's old value,
+            // and the final get. The leading get and the "absent" probe miss.
+            assert_eq!(stats.hits, 3);
+        }
+    }
+
+    #[test]
+    fn stats_round_trips_and_reports_service_metrics() {
+        for workers in [1, 4] {
+            let index = loaded_index(500);
+            let service = ShardServer::with_batch_size(index, workers, 64);
+            let keys: Vec<Vec<u8>> = (0..300u64)
+                .map(|i| format!("key-{i:08}").into_bytes())
+                .collect();
+            service.run_lookups(&keys);
+            service.run(&[
+                WireRequest::Set {
+                    key: b"fresh".to_vec(),
+                    value: 1,
+                },
+                WireRequest::Range {
+                    start: b"key".to_vec(),
+                    count: 4,
+                },
+            ]);
+            // A Stats request mixed into an ordinary batch round-trips and
+            // counts as one operation (a hit: the response carries data).
+            let stats = service.run(&[
+                WireRequest::Get {
+                    key: b"key-00000001".to_vec(),
+                },
+                WireRequest::Stats,
+            ]);
+            assert_eq!(stats.operations, 2);
+            assert_eq!(stats.hits, 2);
+            let text = service.fetch_stats();
+            assert!(text.contains("netsim_requests_total"));
+            assert!(text.contains("netsim_batch_requests"));
+            let m = service.metrics();
+            // 300 lookups + set + range + get + stats, plus the fetch above.
+            assert_eq!(m.requests.get(), 305);
+            assert_eq!(m.stats_requests.get(), 2);
+            // Histograms vanish under `telemetry-off`; the counters above stay.
+            if wh_telemetry::enabled() {
+                assert_eq!(m.get_ns.snapshot().count(), 301);
+                assert_eq!(m.set_ns.snapshot().count(), 1);
+                assert_eq!(m.range_ns.snapshot().count(), 1);
+                // Batches: ceil(300/64)=5 lookup batches + 1 + 1 + 1 scrape.
+                assert_eq!(m.batch_requests.snapshot().count(), 8);
+            }
+            service.registry().lint().expect("well-formed metric names");
+        }
+    }
+
+    #[test]
+    fn batching_splits_large_request_streams() {
+        for workers in [1, 4] {
+            let index = loaded_index(1000);
+            let service = ShardServer::with_batch_size(index, workers, 800);
+            let keys: Vec<Vec<u8>> = (0..3000u64)
+                .map(|i| format!("key-{:08}", i % 1000).into_bytes())
+                .collect();
+            let stats = service.run_lookups(&keys);
+            assert_eq!(stats.operations, 3000);
+            assert_eq!(stats.hits, 3000);
+        }
+    }
+
+    /// A two-shard test index whose `get_batch` panics on one poison key.
+    struct PoisonIndex(Wormhole<u64>);
+
+    impl ConcurrentOrderedIndex<u64> for PoisonIndex {
+        fn name(&self) -> &'static str {
+            "poison"
+        }
+        fn get(&self, key: &[u8]) -> Option<u64> {
+            self.0.get(key)
+        }
+        fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<u64>> {
+            assert!(!keys.contains(&b"poison".as_slice()), "poison key served");
+            self.0.get_batch(keys)
+        }
+        fn set(&self, key: &[u8], value: u64) -> Option<u64> {
+            self.0.set(key, value)
+        }
+        fn del(&self, key: &[u8]) -> Option<u64> {
+            self.0.del(key)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
+            self.0.range_from(start, count)
+        }
+        fn stats(&self) -> IndexStats {
+            self.0.stats()
+        }
+    }
+
+    impl Route for PoisonIndex {
+        fn shard_count(&self) -> usize {
+            2
+        }
+        fn route_batch(&self, keys: &[&[u8]], out: &mut Vec<usize>) -> u64 {
+            out.extend(keys.iter().map(|k| usize::from(k.first() >= Some(&b'p'))));
+            0
+        }
+    }
+
+    #[test]
+    fn worker_panic_ends_the_run_in_a_panic_not_a_hang() {
+        for workers in [1, 4] {
+            let server =
+                ShardServer::with_batch_size(Arc::new(PoisonIndex(Wormhole::new())), workers, 16);
+            // Many messages, so the client is mid-pipeline (blocked on a
+            // send or a receive) when the poison message kills a worker.
+            let mut requests: Vec<WireRequest> = (0..4000u64)
+                .map(|i| WireRequest::Get {
+                    key: format!("key-{i:08}").into_bytes(),
+                })
+                .collect();
+            requests[1000] = WireRequest::Get {
+                key: b"poison".to_vec(),
+            };
+            let client = std::thread::spawn(move || server.run(&requests));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let waiter = std::thread::spawn(move || done_tx.send(client.join().is_err()));
+            let panicked = done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{workers} workers: the run hung after a worker panic"));
+            assert!(
+                panicked,
+                "{workers} workers: the run returned despite a dead worker"
+            );
+            waiter
+                .join()
+                .expect("waiter thread")
+                .expect("receiver alive");
+        }
     }
 }

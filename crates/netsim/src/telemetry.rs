@@ -1,16 +1,16 @@
 //! Telemetry for the simulated service: per-op-type service latency (how
-//! long the server thread spent executing each decoded operation, with
+//! long a worker thread spent executing each decoded operation, with
 //! batched lookup runs attributing the run's duration to every op in it),
 //! the distribution of decoded batch sizes, and request counters.
 //!
-//! The service owns a [`Registry`] these register into; callers can add
+//! The server owns a [`Registry`] these register into; callers can add
 //! their index's metrics to the same registry before serving, and the
 //! [`WireRequest::Stats`](crate::WireRequest::Stats) command renders the
 //! whole thing over the wire.
 
 use wh_telemetry::{Counter, Histogram, Registry};
 
-/// Server-side metrics for one [`KvService`](crate::KvService).
+/// Server-side metrics for one [`ShardServer`](crate::ShardServer).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceMetrics {
     /// Requests decoded and executed (all op types).

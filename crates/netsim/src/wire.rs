@@ -89,28 +89,26 @@ impl WireRequest {
         }
     }
 
-    /// Decodes one request from the front of `buf`.
+    /// Decodes one request from the front of `buf`. Returns `None` when
+    /// `buf` is empty, starts with an unknown tag, or ends inside the
+    /// frame; the caller stops consuming the batch either way.
     pub fn decode(buf: &mut Bytes) -> Option<WireRequest> {
-        if buf.is_empty() {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let klen = buf.get_u32() as usize;
-        let key = buf.split_to(klen).to_vec();
+        let tag = take_u8(buf)?;
+        let key = take_key(buf)?;
         Some(match tag {
             TAG_GET => WireRequest::Get { key },
             TAG_SET => WireRequest::Set {
                 key,
-                value: buf.get_u64(),
+                value: take_u64(buf)?,
             },
             TAG_RANGE => WireRequest::Range {
                 start: key,
-                count: buf.get_u32(),
+                count: take_u32(buf)?,
             },
             TAG_STATS => WireRequest::Stats,
             TAG_SCAN => WireRequest::Scan {
                 start: key,
-                limit: buf.get_u32(),
+                limit: take_u32(buf)?,
             },
             _ => return None,
         })
@@ -171,43 +169,19 @@ impl WireResponse {
         }
     }
 
-    /// Decodes one response from the front of `buf`.
+    /// Decodes one response from the front of `buf`, with the same `None`
+    /// rule as [`WireRequest::decode`].
     pub fn decode(buf: &mut Bytes) -> Option<WireResponse> {
-        if buf.is_empty() {
-            return None;
-        }
-        Some(match buf.get_u8() {
-            TAG_VALUE => WireResponse::Value(buf.get_u64()),
+        Some(match take_u8(buf)? {
+            TAG_VALUE => WireResponse::Value(take_u64(buf)?),
             TAG_MISS => WireResponse::Miss,
-            TAG_RANGE_RESP => {
-                let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = buf.get_u32() as usize;
-                    let key = buf.split_to(klen).to_vec();
-                    items.push((key, buf.get_u64()));
-                }
-                WireResponse::Range(items)
-            }
-            TAG_STATS_RESP => {
-                let len = buf.get_u32() as usize;
-                let text = String::from_utf8(buf.split_to(len).to_vec()).ok()?;
-                WireResponse::Stats(text)
-            }
+            TAG_RANGE_RESP => WireResponse::Range(take_pairs(buf)?),
+            TAG_STATS_RESP => WireResponse::Stats(String::from_utf8(take_key(buf)?).ok()?),
             TAG_SCAN_PAGE => {
-                let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = buf.get_u32() as usize;
-                    let key = buf.split_to(klen).to_vec();
-                    items.push((key, buf.get_u64()));
-                }
-                let resume = match buf.get_u8() {
+                let items = take_pairs(buf)?;
+                let resume = match take_u8(buf)? {
                     0 => None,
-                    _ => {
-                        let rlen = buf.get_u32() as usize;
-                        Some(buf.split_to(rlen).to_vec())
-                    }
+                    _ => Some(take_key(buf)?),
                 };
                 WireResponse::ScanPage { items, resume }
             }
@@ -231,6 +205,40 @@ impl WireResponse {
             }
         }
     }
+}
+
+// Bounds-checked readers: each returns `None`, instead of panicking, when
+// `buf` holds fewer bytes than the field needs.
+
+fn take_u8(buf: &mut Bytes) -> Option<u8> {
+    (buf.remaining() >= 1).then(|| buf.get_u8())
+}
+
+fn take_u32(buf: &mut Bytes) -> Option<u32> {
+    (buf.remaining() >= 4).then(|| buf.get_u32())
+}
+
+fn take_u64(buf: &mut Bytes) -> Option<u64> {
+    (buf.remaining() >= 8).then(|| buf.get_u64())
+}
+
+/// A `u32` length prefix and that many bytes.
+fn take_key(buf: &mut Bytes) -> Option<Vec<u8>> {
+    let len = take_u32(buf)? as usize;
+    (buf.remaining() >= len).then(|| buf.split_to(len).to_vec())
+}
+
+/// A `u32` count and that many `key u64:value` pairs. The count comes off
+/// the wire, so the preallocation is capped by what the buffer can hold
+/// (every pair takes at least 12 bytes).
+fn take_pairs(buf: &mut Bytes) -> Option<Vec<(Vec<u8>, u64)>> {
+    let n = take_u32(buf)? as usize;
+    let mut items = Vec::with_capacity(n.min(buf.remaining() / 12));
+    for _ in 0..n {
+        let key = take_key(buf)?;
+        items.push((key, take_u64(buf)?));
+    }
+    Some(items)
 }
 
 /// An analytic model of the client/server link.
@@ -308,6 +316,7 @@ impl LinkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_roundtrip() {
@@ -421,14 +430,10 @@ mod tests {
             .join(" ")
     }
 
-    /// Known-answer tests: the exact bytes of one example frame per tag.
-    /// These vectors are the normative examples of
-    /// `docs/src/wire-protocol.md`; `docs_examples::wire_protocol_doc…`
-    /// asserts the doc quotes them verbatim. Integers are big-endian
-    /// (network byte order).
-    #[test]
-    fn known_answer_frames() {
-        let cases: Vec<(WireRequest, &str)> = vec![
+    /// The known-answer request vectors: one example frame per tag, with
+    /// its exact bytes as uppercase spaced hex.
+    fn request_vectors() -> Vec<(WireRequest, &'static str)> {
+        vec![
             (
                 WireRequest::Get {
                     key: b"Jam".to_vec(),
@@ -457,11 +462,12 @@ mod tests {
                 },
                 "05 00 00 00 02 6B 31 00 00 00 02",
             ),
-        ];
-        for (req, hex) in cases {
-            assert_eq!(encode_hex(|buf| req.encode(buf)), hex, "{req:?}");
-        }
-        let cases: Vec<(WireResponse, &str)> = vec![
+        ]
+    }
+
+    /// The known-answer response vectors, as [`request_vectors`].
+    fn response_vectors() -> Vec<(WireResponse, &'static str)> {
+        vec![
             (WireResponse::Value(7), "01 00 00 00 00 00 00 00 07"),
             (WireResponse::Miss, "02"),
             (
@@ -489,10 +495,192 @@ mod tests {
                 },
                 "05 00 00 00 00 00",
             ),
-        ];
-        for (resp, hex) in cases {
+        ]
+    }
+
+    /// Parses uppercase spaced hex (line breaks allowed) back into bytes.
+    fn from_hex(hex: &str) -> Vec<u8> {
+        hex.split_whitespace()
+            .map(|b| u8::from_str_radix(b, 16).expect("hex byte"))
+            .collect()
+    }
+
+    /// Known-answer tests: the exact bytes of one example frame per tag.
+    /// These vectors are the normative examples of
+    /// `docs/src/wire-protocol.md`; `docs_examples::wire_protocol_doc…`
+    /// asserts the doc quotes them verbatim. Integers are big-endian
+    /// (network byte order).
+    #[test]
+    fn known_answer_frames() {
+        for (req, hex) in request_vectors() {
+            assert_eq!(encode_hex(|buf| req.encode(buf)), hex, "{req:?}");
+        }
+        for (resp, hex) in response_vectors() {
             let hex: String = hex.split_whitespace().collect::<Vec<_>>().join(" ");
             assert_eq!(encode_hex(|buf| resp.encode(buf)), hex, "{resp:?}");
+        }
+    }
+
+    /// A frame cut short anywhere decodes as `None` (the end of the batch),
+    /// never a panic, and the whole frame still decodes to its value.
+    #[test]
+    fn truncated_known_answer_frames_decode_as_none() {
+        for (req, hex) in request_vectors() {
+            let bytes = from_hex(hex);
+            for cut in 0..bytes.len() {
+                let mut prefix = Bytes::from(bytes[..cut].to_vec());
+                assert_eq!(
+                    WireRequest::decode(&mut prefix),
+                    None,
+                    "{req:?} cut at {cut}"
+                );
+            }
+            assert_eq!(WireRequest::decode(&mut Bytes::from(bytes)), Some(req));
+        }
+        for (resp, hex) in response_vectors() {
+            let bytes = from_hex(hex);
+            for cut in 0..bytes.len() {
+                let mut prefix = Bytes::from(bytes[..cut].to_vec());
+                assert_eq!(
+                    WireResponse::decode(&mut prefix),
+                    None,
+                    "{resp:?} cut at {cut}"
+                );
+            }
+            assert_eq!(WireResponse::decode(&mut Bytes::from(bytes)), Some(resp));
+        }
+    }
+
+    /// A count field far larger than the buffer must neither panic nor
+    /// preallocate for the claimed count.
+    #[test]
+    fn huge_claimed_counts_fail_cleanly() {
+        for tag in [TAG_RANGE_RESP, TAG_SCAN_PAGE] {
+            let mut buf = BytesMut::new();
+            buf.put_u8(tag);
+            buf.put_u32(u32::MAX);
+            assert_eq!(WireResponse::decode(&mut buf.freeze()), None);
+        }
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_GET);
+        buf.put_u32(u32::MAX);
+        assert_eq!(WireRequest::decode(&mut buf.freeze()), None);
+    }
+
+    fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..12)
+    }
+
+    fn pairs_strategy() -> impl Strategy<Value = Vec<(Vec<u8>, u64)>> {
+        proptest::collection::vec((key_strategy(), any::<u64>()), 0..4)
+    }
+
+    fn request_strategy() -> BoxedStrategy<WireRequest> {
+        prop_oneof![
+            key_strategy().prop_map(|key| WireRequest::Get { key }),
+            (key_strategy(), any::<u64>()).prop_map(|(key, value)| WireRequest::Set { key, value }),
+            (key_strategy(), any::<u32>())
+                .prop_map(|(start, count)| WireRequest::Range { start, count }),
+            Just(WireRequest::Stats),
+            (key_strategy(), any::<u32>())
+                .prop_map(|(start, limit)| WireRequest::Scan { start, limit }),
+        ]
+        .boxed()
+    }
+
+    fn response_strategy() -> BoxedStrategy<WireResponse> {
+        prop_oneof![
+            any::<u64>().prop_map(WireResponse::Value),
+            Just(WireResponse::Miss),
+            pairs_strategy().prop_map(WireResponse::Range),
+            proptest::collection::vec(any::<u8>(), 0..12).prop_map(|bytes| {
+                WireResponse::Stats(bytes.iter().map(|&b| char::from(b % 128)).collect())
+            }),
+            (pairs_strategy(), any::<bool>(), key_strategy()).prop_map(|(items, more, key)| {
+                WireResponse::ScanPage {
+                    items,
+                    resume: more.then_some(key),
+                }
+            }),
+        ]
+        .boxed()
+    }
+
+    /// Decodes frames until the decoder stops, checking each decoded frame
+    /// re-encodes to bytes that decode to the same frame.
+    fn decode_all<T: PartialEq + std::fmt::Debug>(
+        bytes: &[u8],
+        decode: impl Fn(&mut Bytes) -> Option<T>,
+        encode: impl Fn(&T, &mut BytesMut),
+    ) -> Vec<T> {
+        let mut buf = Bytes::from(bytes.to_vec());
+        let mut out = Vec::new();
+        while let Some(frame) = decode(&mut buf) {
+            let mut again = BytesMut::new();
+            encode(&frame, &mut again);
+            assert_eq!(decode(&mut again.freeze()).as_ref(), Some(&frame));
+            out.push(frame);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic either decoder.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            decode_all(&bytes, WireRequest::decode, WireRequest::encode);
+            decode_all(&bytes, WireResponse::decode, WireResponse::encode);
+        }
+
+        /// Valid batches with one byte overwritten and the tail cut at an
+        /// arbitrary point never panic either decoder: this reaches the
+        /// length and count fields that random bytes rarely get to.
+        #[test]
+        fn corrupted_batches_never_panic_the_decoders(
+            reqs in proptest::collection::vec(request_strategy(), 1..4),
+            resps in proptest::collection::vec(response_strategy(), 1..4),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            cut in any::<usize>(),
+        ) {
+            let mut buf = BytesMut::new();
+            reqs.iter().for_each(|r| r.encode(&mut buf));
+            let mut bytes = buf.as_ref().to_vec();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            bytes.truncate(cut % (bytes.len() + 1));
+            decode_all(&bytes, WireRequest::decode, WireRequest::encode);
+            let mut buf = BytesMut::new();
+            resps.iter().for_each(|r| r.encode(&mut buf));
+            let mut bytes = buf.as_ref().to_vec();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            bytes.truncate(cut % (bytes.len() + 1));
+            decode_all(&bytes, WireResponse::decode, WireResponse::encode);
+        }
+
+        /// Decoding an encoded batch gives back exactly the encoded frames.
+        #[test]
+        fn decode_inverts_encode(
+            reqs in proptest::collection::vec(request_strategy(), 0..6),
+            resps in proptest::collection::vec(response_strategy(), 0..6),
+        ) {
+            let mut buf = BytesMut::new();
+            reqs.iter().for_each(|r| r.encode(&mut buf));
+            prop_assert_eq!(
+                decode_all(buf.as_ref(), WireRequest::decode, WireRequest::encode),
+                reqs
+            );
+            let mut buf = BytesMut::new();
+            resps.iter().for_each(|r| r.encode(&mut buf));
+            prop_assert_eq!(
+                decode_all(buf.as_ref(), WireResponse::decode, WireResponse::encode),
+                resps
+            );
         }
     }
 

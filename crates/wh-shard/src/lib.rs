@@ -146,3 +146,6 @@ pub use config::ShardedConfig;
 pub use index::ShardedWormhole;
 pub use rebalance::{MigrateError, MigrationReport, RebalanceConfig, RebalanceOutcome};
 pub use telemetry::ShardMetrics;
+/// The per-shard index type (what [`ShardedWormhole::shard`] returns),
+/// re-exported so dependents can name it without depending on `wormhole`.
+pub use wormhole::Wormhole;

@@ -408,7 +408,11 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                             t2.apply_split(&table_key, handle.clone(), &tail, None);
                         debug_assert_eq!(relocations.len(), relocations_t2.len());
                         for (leaf, new_key) in relocations {
-                            leaf.0.data.write().leaf.set_table_key(new_key);
+                            leaf.0
+                                .data
+                                .write()
+                                .leaf
+                                .set_table_key_retiring(new_key, &mut LeafGarbage::immediate());
                         }
                         tail = handle;
                         in_leaf = 0;
@@ -418,12 +422,13 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             key_bytes += key.len();
             len += 1;
             in_leaf += 1;
-            let old = tail
-                .0
-                .data
-                .write()
-                .leaf
-                .insert(&key, crc32c(&key), value, &config);
+            let old = tail.0.data.write().leaf.insert_retiring(
+                &key,
+                crc32c(&key),
+                value,
+                &config,
+                &mut LeafGarbage::immediate(),
+            );
             debug_assert!(old.is_none());
             last_key = Some(key);
         }

@@ -14,7 +14,7 @@
 //!
 //! * [`prepare_split`] — split-point selection ([`choose_split_point`]),
 //!   anchor formation, anchor table-key reservation, and the leaf-level
-//!   carve ([`LeafNode::split_off`]);
+//!   carve ([`LeafNode::split_off_retiring`]);
 //! * [`split_plan`] / [`merge_plan`] — declarative
 //!   [`crate::meta::MetaPlan`]s listing the MetaTrieHT item
 //!   writes, executed with [`MetaTable::apply_plan`] once per table;
@@ -34,7 +34,7 @@ use crate::meta::{LeafRef, MetaPlan, MetaTable};
 /// when no valid split point exists — the caller keeps the leaf as a
 /// *fat node*.
 pub fn choose_split_point<V>(leaf: &mut LeafNode<V>) -> Option<(usize, Vec<u8>)> {
-    leaf.ensure_key_sorted();
+    leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
     let n = leaf.len();
     if n < 2 {
         return None;
@@ -141,7 +141,13 @@ mod tests {
     }
 
     fn insert(leaf: &mut LeafNode<u64>, key: &[u8], value: u64, config: &WormholeConfig) {
-        leaf.insert(key, crc32c(key), value, config);
+        leaf.insert_retiring(
+            key,
+            crc32c(key),
+            value,
+            config,
+            &mut LeafGarbage::immediate(),
+        );
     }
 
     #[test]

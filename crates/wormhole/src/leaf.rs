@@ -391,15 +391,8 @@ impl<V> LeafNode<V> {
             .map(|i| &mut self.kvs[i].value)
     }
 
-    /// Inserts `key`, returning the previous value when it already existed.
-    pub fn insert(&mut self, key: &[u8], hash: u32, value: V, config: &WormholeConfig) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.insert_retiring(key, hash, value, config, &mut LeafGarbage::immediate())
-    }
-
-    /// [`LeafNode::insert`], retiring every freed heap block through `bin`.
+    /// Inserts `key`, returning the previous value when it already existed;
+    /// every freed heap block is retired through `bin`.
     pub fn insert_retiring(
         &mut self,
         key: &[u8],
@@ -449,15 +442,8 @@ impl<V> LeafNode<V> {
         None
     }
 
-    /// Removes `key`, returning its value when present.
-    pub fn remove(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_retiring(key, hash, config, &mut LeafGarbage::immediate())
-    }
-
-    /// [`LeafNode::remove`], retiring the removed item's key box (and, when
+    /// Removes `key`, returning its value when present. The removed item's
+    /// key box (and, when
     /// values are deferred, the value itself — the caller then receives a
     /// clone) through `bin`.
     pub fn remove_retiring(
@@ -555,13 +541,7 @@ impl<V> LeafNode<V> {
 
     /// The paper's `incSort`: brings the key-sorted view up to date by
     /// sorting the unsorted tail and two-way merging it with the sorted
-    /// prefix.
-    pub fn ensure_key_sorted(&mut self) {
-        self.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
-    }
-
-    /// [`LeafNode::ensure_key_sorted`], retiring the replaced key-order
-    /// buffer through `bin`.
+    /// prefix, retiring the replaced key-order buffer through `bin`.
     pub fn ensure_key_sorted_retiring(&mut self, bin: &mut LeafGarbage<V>) {
         if self.sorted_cnt == self.key_order.len() {
             return;
@@ -589,8 +569,9 @@ impl<V> LeafNode<V> {
         bin.retire_idx_buf(sorted);
     }
 
-    /// Iterates items in ascending key order. Call [`Self::ensure_key_sorted`]
-    /// first; otherwise only the sorted prefix is guaranteed to be ordered.
+    /// Iterates items in ascending key order. Call
+    /// [`Self::ensure_key_sorted_retiring`] first; otherwise only the sorted
+    /// prefix is guaranteed to be ordered.
     pub fn iter_key_order(&self) -> impl Iterator<Item = &Kv<V>> + '_ {
         self.key_order.iter().map(|&i| &self.kvs[i as usize])
     }
@@ -858,7 +839,7 @@ impl<V> LeafNode<V> {
     }
 
     /// Key at sorted position `i` (requires the key-sorted view to be
-    /// current; see [`LeafNode::ensure_key_sorted`]). Used by the core
+    /// current; see [`LeafNode::ensure_key_sorted_retiring`]). Used by the core
     /// engine's split-point selection.
     pub fn key_at(&self, i: usize) -> &[u8] {
         debug_assert_eq!(self.sorted_cnt, self.key_order.len());
@@ -866,13 +847,8 @@ impl<V> LeafNode<V> {
     }
 
     /// Splits the leaf at key-order position `at`, moving items `[at..]` into
-    /// a new leaf with the given anchor and table key.
-    pub fn split_off(&mut self, at: usize, anchor: Vec<u8>, table_key: Vec<u8>) -> LeafNode<V> {
-        self.split_off_retiring(at, anchor, table_key, &mut LeafGarbage::immediate())
-    }
-
-    /// [`LeafNode::split_off`], retiring the replaced storage buffers of the
-    /// left half through `bin` (the right half is freshly allocated and not
+    /// a new leaf with the given anchor and table key. The replaced storage
+    /// buffers of the left half are retired through `bin` (the right half is freshly allocated and not
     /// yet visible to readers).
     pub fn split_off_retiring(
         &mut self,
@@ -924,13 +900,9 @@ impl<V> LeafNode<V> {
         right
     }
 
-    /// Moves every item of `victim` into this leaf (used by merge).
-    pub fn absorb(&mut self, victim: LeafNode<V>) {
-        self.absorb_retiring(victim, &mut LeafGarbage::immediate());
-    }
-
-    /// [`LeafNode::absorb`], retiring the victim's storage (and any buffer
-    /// this leaf outgrows) through `bin`.
+    /// Moves every item of `victim` into this leaf (used by merge),
+    /// retiring the victim's storage (and any buffer this leaf outgrows)
+    /// through `bin`.
     pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut LeafGarbage<V>) {
         for kv in victim.kvs.drain(..) {
             let idx = self.kvs.len() as u16;
@@ -959,13 +931,8 @@ impl<V> LeafNode<V> {
     }
 
     /// Updates the leaf's table key (used when an anchor is relocated with an
-    /// appended ⊥ token by a later split).
-    pub fn set_table_key(&mut self, table_key: Vec<u8>) {
-        self.set_table_key_retiring(table_key, &mut LeafGarbage::immediate());
-    }
-
-    /// [`LeafNode::set_table_key`], retiring the replaced key bytes through
-    /// `bin`.
+    /// appended ⊥ token by a later split), retiring the replaced key bytes
+    /// through `bin`.
     pub fn set_table_key_retiring(&mut self, table_key: Vec<u8>, bin: &mut LeafGarbage<V>) {
         bin.retire_bytes(std::mem::replace(&mut self.table_key, table_key));
     }
@@ -986,7 +953,13 @@ mod tests {
         value: u64,
         config: &WormholeConfig,
     ) -> Option<u64> {
-        leaf.insert(key, crc32c(key), value, config)
+        leaf.insert_retiring(
+            key,
+            crc32c(key),
+            value,
+            config,
+            &mut LeafGarbage::immediate(),
+        )
     }
 
     fn get(leaf: &LeafNode<u64>, key: &[u8], config: &WormholeConfig) -> Option<u64> {
@@ -1016,7 +989,15 @@ mod tests {
             }
             assert_eq!(get(&leaf, b"Zed", &config), None);
             assert_eq!(insert(&mut leaf, b"Bob", 99, &config), Some(1));
-            assert_eq!(leaf.remove(b"Bob", crc32c(b"Bob"), &config), Some(99));
+            assert_eq!(
+                leaf.remove_retiring(
+                    b"Bob",
+                    crc32c(b"Bob"),
+                    &config,
+                    &mut LeafGarbage::immediate()
+                ),
+                Some(99)
+            );
             assert_eq!(get(&leaf, b"Bob", &config), None);
             assert_eq!(leaf.len(), names.len() - 1);
             // Every other key still reachable after the removal fix-ups.
@@ -1039,14 +1020,14 @@ mod tests {
         for k in ["m", "c", "x", "a", "t", "b"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
-        leaf.ensure_key_sorted();
+        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
         let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"b", b"c", b"m", b"t", b"x"]);
         // Add more after the sort: they form a new unsorted tail.
         for k in ["q", "d"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
-        leaf.ensure_key_sorted();
+        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
         let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(
             keys,
@@ -1061,7 +1042,7 @@ mod tests {
         for i in 0..10u64 {
             insert(&mut leaf, format!("k{i:02}").as_bytes(), i, &config);
         }
-        leaf.ensure_key_sorted();
+        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
         let mut out = Vec::new();
         let n = leaf.collect_range_into(b"k03", 4, &mut out);
         assert_eq!(n, 4);
@@ -1080,7 +1061,12 @@ mod tests {
             insert(&mut leaf, format!("key{i}").as_bytes(), i, &config);
         }
         let (at, anchor) = crate::core::choose_split_point(&mut leaf).unwrap();
-        let right = leaf.split_off(at, anchor.clone(), anchor.clone());
+        let right = leaf.split_off_retiring(
+            at,
+            anchor.clone(),
+            anchor.clone(),
+            &mut LeafGarbage::immediate(),
+        );
         assert_eq!(leaf.len() + right.len(), 10);
         assert!(leaf.max_key().unwrap() < right.min_key().unwrap());
         assert!(right.min_key().unwrap() >= anchor.as_slice());
@@ -1105,13 +1091,13 @@ mod tests {
         for k in ["m", "o", "q"] {
             insert(&mut right, k.as_bytes(), 2, &config);
         }
-        left.ensure_key_sorted();
-        left.absorb(right);
+        left.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        left.absorb_retiring(right, &mut LeafGarbage::immediate());
         assert_eq!(left.len(), 6);
         for k in ["a", "c", "e", "m", "o", "q"] {
             assert!(get(&left, k.as_bytes(), &config).is_some(), "{k}");
         }
-        left.ensure_key_sorted();
+        left.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
         let keys: Vec<&[u8]> = left.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"c", b"e", b"m", b"o", b"q"]);
     }
@@ -1159,7 +1145,7 @@ mod tests {
     #[test]
     fn table_key_can_be_relocated() {
         let mut leaf: LeafNode<u64> = LeafNode::new(b"Jo".to_vec(), b"Jo".to_vec());
-        leaf.set_table_key(b"Jo\0".to_vec());
+        leaf.set_table_key_retiring(b"Jo\0".to_vec(), &mut LeafGarbage::immediate());
         assert_eq!(leaf.anchor(), b"Jo");
         assert_eq!(leaf.table_key(), b"Jo\0");
     }

@@ -185,7 +185,9 @@ impl<V: Clone> WormholeUnsafe<V> {
         );
         self.meta.apply_plan(&plan);
         for (leaf, new_table_key) in plan.relocations {
-            self.slot_mut(leaf).leaf.set_table_key(new_table_key);
+            self.slot_mut(leaf)
+                .leaf
+                .set_table_key_retiring(new_table_key, &mut LeafGarbage::immediate());
         }
         true
     }
@@ -210,7 +212,9 @@ impl<V: Clone> WormholeUnsafe<V> {
             right_opt.as_ref(),
         );
         self.meta.apply_plan(&plan);
-        self.slot_mut(left).leaf.absorb(victim_slot.leaf);
+        self.slot_mut(left)
+            .leaf
+            .absorb_retiring(victim_slot.leaf, &mut LeafGarbage::immediate());
     }
 
     /// Walks the LeafList validating every structural invariant. Panics on
@@ -233,7 +237,7 @@ impl<V: Clone> WormholeUnsafe<V> {
             }
             // Every key in the leaf is >= its anchor.
             let mut leaf_clone = slot.leaf.clone();
-            leaf_clone.ensure_key_sorted();
+            leaf_clone.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
             for kv in leaf_clone.iter_key_order() {
                 assert!(
                     kv.key.as_ref() >= anchor.as_slice(),
@@ -365,10 +369,13 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
                 leaf_idx = right;
             }
         }
-        let old = self
-            .slot_mut(leaf_idx)
-            .leaf
-            .insert(key, hash, value, &config);
+        let old = self.slot_mut(leaf_idx).leaf.insert_retiring(
+            key,
+            hash,
+            value,
+            &config,
+            &mut LeafGarbage::immediate(),
+        );
         debug_assert!(old.is_none());
         self.len += 1;
         self.key_bytes += key.len();
@@ -379,7 +386,12 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         let hash = crc32c(key);
         let config = self.config;
         let leaf_idx = self.locate_leaf(key);
-        let removed = self.slot_mut(leaf_idx).leaf.remove(key, hash, &config)?;
+        let removed = self.slot_mut(leaf_idx).leaf.remove_retiring(
+            key,
+            hash,
+            &config,
+            &mut LeafGarbage::immediate(),
+        )?;
         self.len -= 1;
         self.key_bytes -= key.len();
         // Merge with a neighbour when the combined size has dropped below

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use index_traits::ConcurrentOrderedIndex;
-use netsim::{KvService, LinkModel, WireRequest};
+use netsim::{LinkModel, ShardServer, WireRequest};
 use wh_shard::{RebalanceConfig, ShardedConfig, ShardedWormhole};
 use workloads::{generate, KeysetId};
 use wormhole::{Wormhole, WormholeConfig};
@@ -941,7 +941,7 @@ fn netsim_service_end_to_end_over_wormhole() {
     for (i, key) in keyset.keys.iter().enumerate() {
         wh.set(key, i as u64);
     }
-    let service = KvService::new(Arc::clone(&wh) as Arc<dyn ConcurrentOrderedIndex<u64>>);
+    let service = ShardServer::new(Arc::clone(&wh) as Arc<dyn ConcurrentOrderedIndex<u64>>, 1);
 
     // A batch mixing lookups, writes, and range scans.
     let mut requests = Vec::new();

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use wormhole_repro::durable::DurableWormhole;
-use wormhole_repro::netsim::{KvService, WireRequest};
+use wormhole_repro::netsim::{ShardServer, WireRequest};
 use wormhole_repro::sharded::ShardedWormhole;
 use wormhole_repro::traits::ConcurrentOrderedIndex;
 
@@ -34,7 +34,7 @@ fn stats_exposition_covers_every_instrumented_crate() {
         durable.set(format!("wal-{i:04}").as_bytes(), i);
     }
 
-    let service = KvService::with_batch_size(sharded.clone(), 256);
+    let service = ShardServer::with_batch_size(sharded.clone(), 1, 256);
     sharded.register_metrics(service.registry(), "wh_shard");
     durable.register_metrics(service.registry(), "wh_durable");
     service
