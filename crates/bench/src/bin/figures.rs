@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Output is a plain-text table per experiment (one row per x-axis category,
-//! one column per series), which is what `EXPERIMENTS.md` records.
+//! one column per series); the paper's claims are about the relative order
+//! and trends of the series, which is what to compare across hosts.
 
 use std::env;
 use std::process::ExitCode;

@@ -7,20 +7,21 @@
 //! readers constantly encounter leaves whose write locks are held and whose
 //! seqlock counters are churning. Readers hammer point lookups over the
 //! stable resident keys; their aggregate throughput is the measurement.
-//! `BENCH_concurrent.json` (written by
-//! `cargo run -p bench --release --bin contended_read_baseline`) records the
-//! tracked baseline.
+//! [`record`] writes the tracked `BENCH_concurrent.json` (`cargo run -p
+//! bench --release --bin baseline -- concurrent`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use index_traits::ConcurrentOrderedIndex;
 use wormhole::{Wormhole, WormholeConfig};
 
+use crate::measure::quick_or;
+use crate::report::{Report, Row};
+
 /// One measured configuration.
 #[derive(Debug, Clone)]
-pub struct ContendedSample {
+struct ContendedSample {
     /// `"rwlock"` or `"optimistic"`.
     pub mode: &'static str,
     /// Number of reader threads.
@@ -35,20 +36,28 @@ pub struct ContendedSample {
     pub writer_ops: u64,
 }
 
-/// The resident key for slot `i` (stable across the whole run).
-pub fn resident_key(i: usize) -> Vec<u8> {
-    format!("user:{i:08}:profile").into_bytes()
+impl ContendedSample {
+    fn row(&self) -> Row {
+        Row::new()
+            .str("mode", self.mode)
+            .int("readers", self.readers as u64)
+            .bool("writer", self.writer)
+            .float("read_ns", self.read_ns, 1)
+            .float("mreads_per_sec", self.mreads_per_sec, 2)
+            .int("writer_ops", self.writer_ops)
+    }
 }
 
-/// Seed for the churn writer's xorshift region picker.
-pub const CHURN_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The resident key for slot `i` (stable across the whole run).
+fn resident_key(i: usize) -> Vec<u8> {
+    format!("user:{i:08}:profile").into_bytes()
+}
 
 /// One churn wave of the structural writer: pick a random resident region,
 /// blow its leaf up with sibling keys (forcing a split), then drain them
 /// (forcing a merge). `x` is the xorshift state; returns operations
-/// performed. Shared by the measurement harness and the Criterion bench so
-/// both exercise the identical contention pattern.
-pub fn churn_wave(wh: &Wormhole<u64>, keys: usize, x: &mut u64) -> u64 {
+/// performed.
+fn churn_wave(wh: &Wormhole<u64>, keys: usize, x: &mut u64) -> u64 {
     *x ^= *x << 13;
     *x ^= *x >> 7;
     *x ^= *x << 17;
@@ -71,8 +80,15 @@ pub fn churn_wave(wh: &Wormhole<u64>, keys: usize, x: &mut u64) -> u64 {
     ops
 }
 
-/// Builds the index under test with the given read mode.
-pub fn build_index(keys: usize, optimistic: bool) -> Wormhole<u64> {
+/// Runs one measurement window: `readers` lookup threads over `keys`
+/// resident keys for `duration`, optionally with the churn writer.
+fn measure_contended(
+    readers: usize,
+    keys: usize,
+    duration: Duration,
+    optimistic: bool,
+    with_writer: bool,
+) -> ContendedSample {
     let config = WormholeConfig::optimized()
         .with_leaf_capacity(64)
         .with_optimistic_reads(optimistic);
@@ -80,31 +96,15 @@ pub fn build_index(keys: usize, optimistic: bool) -> Wormhole<u64> {
     for i in 0..keys {
         wh.set(&resident_key(i), i as u64);
     }
-    wh
-}
-
-/// Runs one measurement window: `readers` lookup threads over `keys`
-/// resident keys for `duration`, optionally with the churn writer.
-pub fn measure_contended(
-    readers: usize,
-    keys: usize,
-    duration: Duration,
-    optimistic: bool,
-    with_writer: bool,
-) -> ContendedSample {
-    let wh = Arc::new(build_index(keys, optimistic));
-    let probe_keys: Arc<Vec<Vec<u8>>> = Arc::new((0..keys).map(resident_key).collect());
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_reads = Arc::new(AtomicU64::new(0));
-    let writer_ops = Arc::new(AtomicU64::new(0));
+    let probe_keys: Vec<Vec<u8>> = (0..keys).map(resident_key).collect();
+    let stop = AtomicBool::new(false);
+    let total_reads = AtomicU64::new(0);
+    let writer_ops = AtomicU64::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
         if with_writer {
-            let wh = Arc::clone(&wh);
-            let stop = Arc::clone(&stop);
-            let writer_ops = Arc::clone(&writer_ops);
-            scope.spawn(move || {
-                let mut x = CHURN_SEED;
+            scope.spawn(|| {
+                let mut x = 0x9e37_79b9_7f4a_7c15u64;
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     ops += churn_wave(&wh, keys, &mut x);
@@ -113,10 +113,7 @@ pub fn measure_contended(
             });
         }
         for r in 0..readers {
-            let wh = Arc::clone(&wh);
-            let stop = Arc::clone(&stop);
-            let total_reads = Arc::clone(&total_reads);
-            let probe_keys = Arc::clone(&probe_keys);
+            let (wh, stop, total_reads, probe_keys) = (&wh, &stop, &total_reads, &probe_keys);
             scope.spawn(move || {
                 let mut i = r * 7919;
                 let mut local = 0u64;
@@ -151,7 +148,7 @@ pub fn measure_contended(
 
 /// Best-of-`rounds` interleaved comparison of both read modes for one
 /// reader count, with and without the churn writer.
-pub fn measure_modes(
+fn measure_modes(
     readers: usize,
     keys: usize,
     duration: Duration,
@@ -175,6 +172,32 @@ pub fn measure_modes(
         }
     }
     best.into_iter().flatten().collect()
+}
+
+/// Measures the `BENCH_concurrent.json` record.
+pub fn record() -> Report {
+    let keys = quick_or(100_000usize, 8_000);
+    let window_ms = quick_or(500u64, 40);
+    let rounds = quick_or(3usize, 1);
+    let reader_counts: &[usize] = quick_or(&[4, 8], &[2]);
+    let series: Vec<ContendedSample> = reader_counts
+        .iter()
+        .flat_map(|&readers| measure_modes(readers, keys, Duration::from_millis(window_ms), rounds))
+        .collect();
+    Report::new(
+        "contended_read",
+        "Concurrent Wormhole point-lookup throughput, N reader threads with/without one \
+         structural writer churning splits+merges (best of `rounds` interleaved rounds of \
+         `window_ms` each, `keys` resident ~20B keys, leaf capacity 64). rwlock = per-leaf \
+         RwLock::read path; optimistic = seqlock-validated lock-free read path. On a \
+         single-CPU host the threads time-slice, so the deltas understate the multicore \
+         benefit of taking no lock (no RMW on the leaf lock word, no reader convoy behind a \
+         preempted writer).",
+    )
+    .size("keys", keys as u64)
+    .size("rounds", rounds as u64)
+    .size("window_ms", window_ms)
+    .section("series", series.iter().map(ContendedSample::row))
 }
 
 #[cfg(test)]

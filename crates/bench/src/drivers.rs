@@ -208,9 +208,10 @@ impl AnyIndex {
 
 /// A Masstree wrapped in a reader/writer lock so it can stand in for the
 /// original's internally synchronised implementation in the multi-threaded
-/// read/write experiment (Figure 17). The substitution is recorded in
-/// `DESIGN.md`; it penalises Masstree under write-heavy mixes, which is noted
-/// alongside the Figure 17 results.
+/// read/write experiment (Figure 17). The substitution penalises Masstree
+/// under write-heavy mixes: every insert takes the one writer lock, so its
+/// Figure 17 series understates what the original's fine-grained locking
+/// achieves.
 pub struct LockedMasstree {
     inner: RwLock<Masstree<u64>>,
 }

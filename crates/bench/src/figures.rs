@@ -381,7 +381,8 @@ pub fn fig16(scale: &FigureScale) -> Vec<Row> {
 
 /// Reproduces Figure 17: multi-threaded throughput under mixed
 /// lookup/insert workloads (5%, 50%, 95% insertions) for Masstree (behind a
-/// reader/writer lock — see `DESIGN.md`) and the thread-safe Wormhole.
+/// reader/writer lock, see [`LockedMasstree`], which penalises it under
+/// write-heavy mixes) and the thread-safe Wormhole.
 pub fn fig17(scale: &FigureScale) -> Vec<Row> {
     KeysetId::all()
         .iter()

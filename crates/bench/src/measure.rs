@@ -4,20 +4,13 @@ use std::time::Instant;
 
 use crate::drivers::AnyIndex;
 
-/// `true` when `WH_BENCH_QUICK` is set (and not `0`): the baseline bins
-/// shrink their keysets, windows, and round counts so a full run finishes
-/// in seconds. CI's bench-smoke job uses this to validate that every
-/// `BENCH_*.json` still parses and carries its expected keys on every PR;
-/// the numbers produced in quick mode are *not* comparable to tracked
-/// baselines and must never be committed.
-pub fn quick_mode() -> bool {
-    std::env::var_os("WH_BENCH_QUICK").is_some_and(|v| v != "0")
-}
-
-/// `full` normally, `quick` under [`quick_mode`] — the one-line dial the
-/// baseline bins size every parameter through.
-pub fn quick_or<T>(full: T, quick: T) -> T {
-    if quick_mode() {
+/// `full` normally, `quick` when `WH_BENCH_QUICK` is set (and not `0`):
+/// the one dial every `record()` sizes its parameters through, so a full
+/// `baseline all` run finishes in seconds and still passes every record's
+/// checks. The numbers produced in quick mode are *not* comparable to
+/// tracked baselines and must never be committed.
+pub(crate) fn quick_or<T>(full: T, quick: T) -> T {
+    if std::env::var_os("WH_BENCH_QUICK").is_some_and(|v| v != "0") {
         quick
     } else {
         full

@@ -1,161 +1,39 @@
-//! The MetaTrieHT probe microbenchmark: workload, the seed's hash-table
-//! layout as a reference implementation, and timing helpers.
-//!
-//! The `meta_probe` criterion bench and the `meta_probe_baseline` binary
-//! both measure point probes against two layouts holding identical items:
-//!
-//! * [`SeedMetaTable`] — the repo's original layout: `Vec<Vec<Slot>>`
-//!   buckets, each probe chasing a heap-allocated slot vector before
-//!   touching the item side-array (two dependent cache misses per probe);
-//! * `wormhole::meta::MetaTable` — the cache-line-bucketized layout this
-//!   repo now ships: one flat array of 64-byte buckets probed with a SWAR
-//!   tag comparison.
-//!
-//! `BENCH_meta.json` records the baseline numbers so later PRs can track
-//! the probe-latency trajectory.
+//! The MetaTrieHT probe microbenchmark: exact and tag-only point probes
+//! against `wormhole::meta::MetaTable`, the cache-line-bucketized layout
+//! (one flat array of 64-byte buckets probed with a SWAR tag comparison).
+//! [`record`] writes the tracked `BENCH_meta.json` (`cargo run -p bench
+//! --release --bin baseline -- meta`) so the probe-latency trajectory can be
+//! followed across changes.
 
 use std::time::Instant;
 
-use wh_hash::{crc32c, mix64, tag16};
 use wormhole::meta::{MetaKind, MetaTable};
 
-/// One slot of the seed layout.
-#[derive(Debug, Clone, Copy)]
-struct SeedSlot {
-    tag: u16,
-    item: u32,
-}
+use crate::measure::quick_or;
+use crate::report::{Report, Row};
 
-/// A stored item of the seed layout, mirroring the real `MetaItem`'s full
-/// footprint (key, cached hash, and the bitmap/leaf-pointer payload) so the
-/// side-array behaves like the seed's — item records spanning the same
-/// number of cache lines.
-#[derive(Debug, Clone)]
-struct SeedItem {
-    key: Box<[u8]>,
-    #[allow(dead_code)]
-    hash: u32,
-    /// Stand-in for `MetaKind::Internal`'s 256-bit bitmap.
-    #[allow(dead_code)]
-    bitmap: [u64; 4],
-    /// Stand-in for the leftmost/rightmost leaf handles.
-    #[allow(dead_code)]
-    bounds: (u32, u32),
-}
-
-/// The seed's MetaTrieHT storage layout, preserved as the benchmark
-/// reference: per-bucket slot `Vec`s over an item side-array.
-#[derive(Debug, Default)]
-pub struct SeedMetaTable {
-    buckets: Vec<Vec<SeedSlot>>,
-    items: Vec<Option<SeedItem>>,
-    len: usize,
-}
-
-impl SeedMetaTable {
-    /// Creates an empty table with the seed's initial 64 buckets.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); 64],
-            items: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn bucket_of(&self, hash: u32) -> usize {
-        (mix64(hash as u64) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Inserts `key` (no-op when present), with the seed's load factor and
-    /// rehash strategy.
-    pub fn insert(&mut self, key: &[u8]) {
-        let hash = crc32c(key);
-        if self.find(key, hash).is_some() {
-            return;
-        }
-        if self.len + 1 > self.buckets.len() * 6 {
-            self.grow();
-        }
-        self.items.push(Some(SeedItem {
-            key: key.to_vec().into_boxed_slice(),
-            hash,
-            bitmap: [0; 4],
-            bounds: (0, 0),
-        }));
-        let idx = (self.items.len() - 1) as u32;
-        let bucket = self.bucket_of(hash);
-        self.buckets[bucket].push(SeedSlot {
-            tag: tag16(hash),
-            item: idx,
-        });
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let new_size = self.buckets.len() * 2;
-        let mut buckets: Vec<Vec<SeedSlot>> = vec![Vec::new(); new_size];
-        for (idx, item) in self.items.iter().enumerate() {
-            if let Some(item) = item {
-                let hash = crc32c(&item.key);
-                let b = (mix64(hash as u64) as usize) & (new_size - 1);
-                buckets[b].push(SeedSlot {
-                    tag: tag16(hash),
-                    item: idx as u32,
-                });
-            }
-        }
-        self.buckets = buckets;
-    }
-
-    fn find(&self, key: &[u8], hash: u32) -> Option<u32> {
-        let tag = tag16(hash);
-        let bucket = &self.buckets[self.bucket_of(hash)];
-        for slot in bucket {
-            if slot.tag == tag {
-                let item = self.items[slot.item as usize].as_ref().expect("live item");
-                if item.key.as_ref() == key {
-                    return Some(slot.item);
-                }
-            }
-        }
-        None
-    }
-
-    /// Exact point probe (the seed's `find` through `get`).
-    pub fn get(&self, key: &[u8]) -> bool {
-        self.find(key, crc32c(key)).is_some()
-    }
-
-    /// Tag-only probe (the seed's optimistic *TagMatching* probe): first
-    /// tag match in the bucket's slot vector, items never touched.
-    pub fn probe_optimistic(&self, key: &[u8]) -> bool {
-        let hash = crc32c(key);
-        let tag = tag16(hash);
-        self.buckets[self.bucket_of(hash)]
-            .iter()
-            .any(|slot| slot.tag == tag)
-    }
-}
+/// Probes per timed pass: enough to defeat the CPU cache.
+const PROBES: usize = 1 << 14;
 
 /// The probe workload: `anchors` resident keys plus an equally sized miss
 /// set, both from the Az1 keyset generator (realistic ~40-byte keys), and a
-/// shuffled probe order large enough to defeat the CPU cache.
-pub struct ProbeWorkload {
-    /// Keys resident in the tables.
-    pub resident: Vec<Vec<u8>>,
+/// shuffled order of [`PROBES`] probes.
+struct ProbeWorkload {
+    /// Keys resident in the table.
+    resident: Vec<Vec<u8>>,
     /// Keys guaranteed absent.
-    pub absent: Vec<Vec<u8>>,
+    absent: Vec<Vec<u8>>,
     /// Probe order into `resident`.
-    pub order: Vec<usize>,
+    order: Vec<usize>,
 }
 
 impl ProbeWorkload {
     /// Builds the workload deterministically.
-    pub fn new(anchors: usize, seed: u64) -> Self {
+    fn new(anchors: usize, seed: u64) -> Self {
         let keyset = workloads::generate(workloads::KeysetId::Az1, anchors * 2, seed);
         let mut keys = keyset.keys;
         let absent = keys.split_off(anchors);
-        let order = workloads::uniform_indices(1 << 14, anchors, seed ^ 0xBEEF);
+        let order = workloads::uniform_indices(PROBES, anchors, seed ^ 0xBEEF);
         Self {
             resident: keys,
             absent,
@@ -163,112 +41,109 @@ impl ProbeWorkload {
         }
     }
 
-    /// Loads both layouts with the resident keys.
-    pub fn build_tables(&self) -> (SeedMetaTable, MetaTable<u32>) {
-        let mut seed_table = SeedMetaTable::new();
-        let mut flat_table: MetaTable<u32> = MetaTable::new();
+    /// Loads a table with the resident keys.
+    fn build_table(&self) -> MetaTable<u32> {
+        let mut table = MetaTable::new();
         for (i, key) in self.resident.iter().enumerate() {
-            seed_table.insert(key);
-            flat_table.insert(key, MetaKind::Leaf(i as u32));
+            table.insert(key, MetaKind::Leaf(i as u32));
         }
-        (seed_table, flat_table)
+        table
     }
 }
 
-/// Runs `probes` through `probe` and returns (hits, ns per probe).
-pub fn time_probes(
+/// Runs the probe `order` through `probe` over `keys` and returns ns per
+/// probe. With `all_hit` set, checks that every probe hit (or missed).
+fn time_probes(
     probe: impl Fn(&[u8]) -> bool,
     keys: &[Vec<u8>],
     order: &[usize],
-) -> (usize, f64) {
+    all_hit: Option<bool>,
+) -> f64 {
     let start = Instant::now();
     let mut hits = 0usize;
     for &i in order {
         hits += usize::from(probe(&keys[i % keys.len()]));
     }
-    let elapsed = start.elapsed();
-    (hits, elapsed.as_nanos() as f64 / order.len() as f64)
+    let ns = start.elapsed().as_nanos() as f64 / order.len() as f64;
+    if let Some(all_hit) = all_hit {
+        assert_eq!(hits == order.len(), all_hit, "probe disagreement");
+    }
+    ns
 }
 
-/// One probe measurement: destination slot, probe function, key set, and
-/// the expected all-hits outcome (`None` disables the check).
-type Measurement<'a> = (
-    &'a mut f64,
-    &'a dyn Fn(&[u8]) -> bool,
-    &'a [Vec<u8>],
-    Option<bool>,
-);
-
-/// One layout's measured probe latencies (ns per probe, best across
-/// rounds).
+/// The table's measured probe latencies at one anchor count (ns per probe,
+/// best across rounds).
 #[derive(Debug, Clone, Copy)]
-pub struct LayoutTiming {
-    /// Layout name.
-    pub layout: &'static str,
+struct LayoutTiming {
+    /// Resident anchors.
+    anchors: usize,
     /// Exact probe, key resident.
-    pub hit_ns: f64,
+    hit_ns: f64,
     /// Exact probe, key absent.
-    pub miss_ns: f64,
+    miss_ns: f64,
     /// Tag-only (optimistic) probe, key resident — the LPM hot path.
-    pub tag_hit_ns: f64,
+    tag_hit_ns: f64,
     /// Tag-only (optimistic) probe, key absent.
-    pub tag_miss_ns: f64,
+    tag_miss_ns: f64,
 }
 
-/// Measures exact and tag-only probe latency for both layouts at `anchors`
-/// residents. Rounds are interleaved across the two layouts so slow drift
-/// of the machine cancels out of the comparison; each metric keeps its
-/// fastest round.
-pub fn measure_layouts(anchors: usize, rounds: usize) -> Vec<LayoutTiming> {
+impl LayoutTiming {
+    fn row(&self) -> Row {
+        Row::new()
+            .str("layout", "flat-bucket")
+            .int("anchors", self.anchors as u64)
+            .float("get_hit_ns", self.hit_ns, 1)
+            .float("get_miss_ns", self.miss_ns, 1)
+            .float("tag_hit_ns", self.tag_hit_ns, 1)
+            .float("tag_miss_ns", self.tag_miss_ns, 1)
+    }
+}
+
+/// Measures exact and tag-only probe latency at `anchors` residents; each
+/// metric keeps its fastest round.
+fn measure_layouts(anchors: usize, rounds: usize) -> LayoutTiming {
     let workload = ProbeWorkload::new(anchors, 42);
-    let (seed_table, flat_table) = workload.build_tables();
-    let seed_get = |k: &[u8]| seed_table.get(k);
-    let flat_get = |k: &[u8]| flat_table.get(k).is_some();
-    let seed_tag = |k: &[u8]| seed_table.probe_optimistic(k);
-    let flat_tag = |k: &[u8]| flat_table.probe_optimistic(k);
-    let mut seed = LayoutTiming {
-        layout: "seed-vecvec",
+    let table = workload.build_table();
+    let get = |k: &[u8]| table.get(k).is_some();
+    let tag = |k: &[u8]| table.probe_optimistic(k);
+    let (resident, absent, order) = (&workload.resident, &workload.absent, &workload.order);
+    let mut t = LayoutTiming {
+        anchors,
         hit_ns: f64::INFINITY,
         miss_ns: f64::INFINITY,
         tag_hit_ns: f64::INFINITY,
         tag_miss_ns: f64::INFINITY,
     };
-    let mut flat = LayoutTiming {
-        layout: "flat-bucket",
-        ..seed
-    };
     for _ in 0..rounds {
         // Exact probes verify their hit/miss counts; tag probes may carry
         // rare 16-bit false positives on the miss side.
-        let measurements: [Measurement<'_>; 8] = [
-            (&mut seed.hit_ns, &seed_get, &workload.resident, Some(true)),
-            (&mut flat.hit_ns, &flat_get, &workload.resident, Some(true)),
-            (&mut seed.miss_ns, &seed_get, &workload.absent, Some(false)),
-            (&mut flat.miss_ns, &flat_get, &workload.absent, Some(false)),
-            (
-                &mut seed.tag_hit_ns,
-                &seed_tag,
-                &workload.resident,
-                Some(true),
-            ),
-            (
-                &mut flat.tag_hit_ns,
-                &flat_tag,
-                &workload.resident,
-                Some(true),
-            ),
-            (&mut seed.tag_miss_ns, &seed_tag, &workload.absent, None),
-            (&mut flat.tag_miss_ns, &flat_tag, &workload.absent, None),
-        ];
-        for (slot, probe, keys, expect_all_hits) in measurements {
-            let (hits, ns) = time_probes(probe, keys, &workload.order);
-            if let Some(expect) = expect_all_hits {
-                assert_eq!(hits == workload.order.len(), expect, "probe disagreement");
-            }
-            *slot = slot.min(ns);
-        }
+        t.hit_ns = t.hit_ns.min(time_probes(get, resident, order, Some(true)));
+        t.miss_ns = t.miss_ns.min(time_probes(get, absent, order, Some(false)));
+        t.tag_hit_ns = t
+            .tag_hit_ns
+            .min(time_probes(tag, resident, order, Some(true)));
+        t.tag_miss_ns = t.tag_miss_ns.min(time_probes(tag, absent, order, None));
     }
-    vec![seed, flat]
+    t
+}
+
+/// Measures the `BENCH_meta.json` record.
+pub fn record() -> Report {
+    let anchor_counts: &[usize] = quick_or(&[100_000, 1_000_000], &[20_000]);
+    let rounds = quick_or(9usize, 1);
+    let series: Vec<LayoutTiming> = anchor_counts
+        .iter()
+        .map(|&anchors| measure_layouts(anchors, rounds))
+        .collect();
+    Report::new(
+        "meta_probe",
+        "MetaTrieHT point-probe latency (ns/op, best of `rounds` rounds of `probes` uniform \
+         probes, Az1 ~40B keys). get_* = exact probe; tag_* = optimistic tag-only probe (the \
+         LPM binary-search hot path).",
+    )
+    .size("rounds", rounds as u64)
+    .size("probes", PROBES as u64)
+    .section("series", series.iter().map(LayoutTiming::row))
 }
 
 #[cfg(test)]
@@ -278,30 +153,25 @@ mod tests {
     #[test]
     fn layouts_agree_on_membership() {
         let workload = ProbeWorkload::new(2000, 7);
-        let (seed_table, flat_table) = workload.build_tables();
+        let flat_table = workload.build_table();
         for key in &workload.resident {
-            assert!(seed_table.get(key));
             assert!(flat_table.get(key).is_some());
         }
         for key in &workload.absent {
-            assert!(!seed_table.get(key));
             assert!(flat_table.get(key).is_none());
         }
     }
 
     #[test]
     fn measure_layouts_produces_sane_numbers() {
-        let rows = measure_layouts(5_000, 1);
-        assert_eq!(rows.len(), 2);
-        for t in rows {
-            for (metric, ns) in [
-                ("hit", t.hit_ns),
-                ("miss", t.miss_ns),
-                ("tag_hit", t.tag_hit_ns),
-                ("tag_miss", t.tag_miss_ns),
-            ] {
-                assert!(ns > 0.0 && ns < 100_000.0, "{}/{metric}: {ns}", t.layout);
-            }
+        let t = measure_layouts(5_000, 1);
+        for (metric, ns) in [
+            ("hit", t.hit_ns),
+            ("miss", t.miss_ns),
+            ("tag_hit", t.tag_hit_ns),
+            ("tag_miss", t.tag_miss_ns),
+        ] {
+            assert!(ns > 0.0 && ns < 100_000.0, "{metric}: {ns}");
         }
     }
 }

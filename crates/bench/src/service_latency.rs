@@ -3,9 +3,9 @@
 //! sees — encode, queue, dispatch, shard-affine execution, reassembly,
 //! decode — summarised as p50/p99/p999 per worker count and workload mix,
 //! plus a tail-under-migration-churn cell where boundary migrations storm
-//! while the server answers. `BENCH_service.json` (written by `cargo run
-//! -p bench --release --bin service_latency_baseline`) records the
-//! tracked baseline.
+//! while the server answers. [`record`] writes the tracked
+//! `BENCH_service.json` (`cargo run -p bench --release --bin baseline --
+//! service`).
 //!
 //! The quantiles come from the service's `client_rtt_ns` histogram
 //! (log₂-bucketed, so values are bucket upper bounds — coarse but stable
@@ -20,11 +20,13 @@ use std::sync::Arc;
 use netsim::{ShardServer, WireRequest};
 use wh_shard::ShardedWormhole;
 
+use crate::measure::quick_or;
+use crate::report::{ensure, Report, Row};
 use crate::shard_scale::{build_sharded, resident_keys, Mix};
 
 /// One measured cell of the serving-layer latency sweep.
 #[derive(Debug, Clone)]
-pub struct ServiceLatencySample {
+pub(crate) struct ServiceLatencySample {
     /// Worker (execution) threads behind the dispatcher.
     pub workers: usize,
     /// `"read_heavy"` (90% gets) or `"mixed"` (50/50).
@@ -44,10 +46,25 @@ pub struct ServiceLatencySample {
     pub epoch_flushes: u64,
 }
 
+impl ServiceLatencySample {
+    fn row(&self) -> Row {
+        Row::new()
+            .int("workers", self.workers as u64)
+            .str("mix", self.mix)
+            .bool("churn", self.churn)
+            .int("ops", self.ops)
+            .float("mops", self.mops, 3)
+            .int("p50_ns", self.p50_ns)
+            .int("p99_ns", self.p99_ns)
+            .int("p999_ns", self.p999_ns)
+            .int("epoch_flushes", self.epoch_flushes)
+    }
+}
+
 /// Builds the request stream of one cell: point ops over the resident
 /// keyset, 90/10 or 50/50 gets vs overwrites, slots strided so
 /// consecutive requests spread across shards.
-pub fn service_requests(keys: &[Vec<u8>], ops: usize, mix: Mix) -> Vec<WireRequest> {
+fn service_requests(keys: &[Vec<u8>], ops: usize, mix: Mix) -> Vec<WireRequest> {
     let write_every = match mix {
         Mix::ReadHeavy => 10,
         Mix::Mixed => 2,
@@ -74,7 +91,7 @@ pub fn service_requests(keys: &[Vec<u8>], ops: usize, mix: Mix) -> Vec<WireReque
 /// requests of the given mix. With `churn`, a background thread bounces
 /// one boundary back and forth for the whole run, so the tail includes
 /// migration freezes, router-epoch flushes, and scan re-routing.
-pub fn measure_service_latency(
+fn measure_service_latency(
     workers: usize,
     keys: usize,
     ops: usize,
@@ -128,7 +145,7 @@ pub fn measure_service_latency(
 
 /// The full sweep of `BENCH_service.json`: worker counts × mixes, plus
 /// the churn cell at the highest worker count under the read-heavy mix.
-pub fn measure_service_sweep(
+fn measure_service_sweep(
     worker_counts: &[usize],
     keys: usize,
     ops: usize,
@@ -148,6 +165,66 @@ pub fn measure_service_sweep(
         true,
     ));
     samples
+}
+
+/// The cross-row checks of `BENCH_service.json`: at least two worker
+/// counts under both point mixes plus the migration-churn tail cell, every
+/// cell productive, and the quantiles populated and ordered.
+pub(crate) fn check_service(series: &[ServiceLatencySample]) -> Result<(), String> {
+    let mut workers: Vec<usize> = series.iter().map(|s| s.workers).collect();
+    workers.sort_unstable();
+    workers.dedup();
+    ensure(workers.len() >= 2, || {
+        format!("need >= 2 worker counts, got {workers:?}")
+    })?;
+    for &w in &workers {
+        for mix in ["read_heavy", "mixed"] {
+            ensure(
+                series
+                    .iter()
+                    .any(|s| s.workers == w && s.mix == mix && !s.churn),
+                || format!("missing workers={w} mix={mix} cell"),
+            )?;
+        }
+    }
+    ensure(series.iter().any(|s| s.churn), || {
+        "missing migration-churn cell".to_owned()
+    })?;
+    for s in series {
+        ensure(s.ops > 0, || format!("cell did no work: {s:?}"))?;
+        ensure(s.p50_ns <= s.p99_ns && s.p99_ns <= s.p999_ns, || {
+            format!("quantiles out of order: {s:?}")
+        })?;
+        ensure(s.p50_ns > 0, || format!("empty histogram: {s:?}"))?;
+    }
+    Ok(())
+}
+
+/// Measures and checks the `BENCH_service.json` record.
+pub fn record() -> Report {
+    let keys = quick_or(100_000usize, 4_000);
+    let ops = quick_or(1_000_000usize, 20_000);
+    let series = measure_service_sweep(&[1, 4], keys, ops);
+    check_service(&series).expect("BENCH_service.json check");
+    Report::new(
+        "service_latency",
+        "Client-observed round-trip latency of the batched serving layer (netsim::ShardServer) \
+         over a 4-shard ShardedWormhole: one dispatcher routing each 800-request message \
+         against a single router-table snapshot (route_batch), N shard-affine execution \
+         workers, one reassembling collector, client pipeline depth 8. Quantiles are the \
+         client_rtt_ns histogram (log2-bucketed upper bounds, nanoseconds) of full message \
+         round trips — encode, queue, execute, reassemble, decode — recorded once per \
+         request. read_heavy = 90% point gets / 10% overwrites, mixed = 50/50, over `keys` \
+         resident ~20B keys, `ops_per_cell` requests per cell. churn=true bounces one shard \
+         boundary back and forth (migrate_boundary) for the whole run, so the tail includes \
+         migration freezes and router-epoch pipeline flushes (epoch_flushes counts them). \
+         Single-CPU hosts time-slice the stages, inflating latency vs a multicore host; the \
+         tracked claims are the relative shape: more workers should not inflate p50, and \
+         churn should cost tail (p999), not the median.",
+    )
+    .size("keys", keys as u64)
+    .size("ops_per_cell", ops as u64)
+    .section("series", series.iter().map(ServiceLatencySample::row))
 }
 
 #[cfg(test)]

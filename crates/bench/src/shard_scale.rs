@@ -8,9 +8,9 @@
 //! the owning index's MetaTrieHT writer mutex and runs an RCU grace
 //! period. On the unsharded index all workers serialise on that one
 //! mutex; sharding gives each range its own, which is exactly the
-//! contention this benchmark quantifies. `BENCH_shard.json` (written by
-//! `cargo run -p bench --release --bin shard_scale_baseline`) records the
-//! tracked baseline.
+//! contention this benchmark quantifies. [`record`] writes the tracked
+//! `BENCH_shard.json` (`cargo run -p bench --release --bin baseline --
+//! shard`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -19,9 +19,12 @@ use index_traits::ConcurrentOrderedIndex;
 use wh_shard::{RebalanceConfig, ShardedWormhole};
 use wormhole::{Wormhole, WormholeConfig};
 
+use crate::measure::quick_or;
+use crate::report::{ensure, Report, Row};
+
 /// One measured cell.
 #[derive(Debug, Clone)]
-pub struct ShardSample {
+pub(crate) struct ShardSample {
     /// `"unsharded"` or `"sharded"`.
     pub frontend: &'static str,
     /// Shard count (1 for the unsharded baseline).
@@ -40,9 +43,22 @@ pub struct ShardSample {
     pub mops: f64,
 }
 
+impl ShardSample {
+    fn row(&self) -> Row {
+        Row::new()
+            .str("frontend", self.frontend)
+            .int("shards", self.shards as u64)
+            .bool("router_fast_path", self.router_fast_path)
+            .str("mix", self.mix)
+            .int("threads", self.threads as u64)
+            .int("ops", self.ops)
+            .float("mops", self.mops, 3)
+    }
+}
+
 /// The workload mixes of the scaling comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mix {
+pub(crate) enum Mix {
     /// 90% point lookups, 10% overwrites of resident keys: the sharded
     /// router's overhead with almost no writer-mutex pressure.
     ReadHeavy,
@@ -67,23 +83,23 @@ impl Mix {
 }
 
 /// The resident key for slot `i`.
-pub fn resident_key(i: usize) -> Vec<u8> {
+pub(crate) fn resident_key(i: usize) -> Vec<u8> {
     format!("user:{i:07}:profile").into_bytes()
 }
 
 /// Precomputes every resident key once, so the measured loops never pay
 /// key formatting or allocation.
-pub fn resident_keys(keys: usize) -> Vec<Vec<u8>> {
+pub(crate) fn resident_keys(keys: usize) -> Vec<Vec<u8>> {
     (0..keys).map(resident_key).collect()
 }
 
 /// Per-shard configuration used by every frontend in the comparison.
-pub fn shard_bench_config() -> WormholeConfig {
+pub(crate) fn shard_bench_config() -> WormholeConfig {
     WormholeConfig::optimized().with_leaf_capacity(64)
 }
 
 /// Builds the unsharded baseline index over `keys` resident keys.
-pub fn build_unsharded(keys: usize) -> Wormhole<u64> {
+pub(crate) fn build_unsharded(keys: usize) -> Wormhole<u64> {
     let wh = Wormhole::with_config(shard_bench_config());
     for i in 0..keys {
         wh.set(&resident_key(i), i as u64);
@@ -95,7 +111,7 @@ pub fn build_unsharded(keys: usize) -> Wormhole<u64> {
 /// boundaries sampled from the keyset so the shards are balanced, routing
 /// through the migration-idle fast path or the classic critical-section
 /// path per `fast_path`.
-pub fn build_sharded(shards: usize, keys: usize, fast_path: bool) -> ShardedWormhole<u64> {
+pub(crate) fn build_sharded(shards: usize, keys: usize, fast_path: bool) -> ShardedWormhole<u64> {
     let sample: Vec<Vec<u8>> = (0..keys)
         .step_by(16.max(keys / 4096))
         .map(resident_key)
@@ -141,7 +157,7 @@ fn churn_wave<I: ConcurrentOrderedIndex<u64> + ?Sized>(
 /// Runs one measurement window: `threads` workers over `keys` residents
 /// for `duration`, with the given mix. Returns total operations and the
 /// elapsed wall-clock seconds.
-pub fn run_window<I: ConcurrentOrderedIndex<u64> + ?Sized>(
+fn run_window<I: ConcurrentOrderedIndex<u64> + ?Sized>(
     index: &I,
     threads: usize,
     keys: &[Vec<u8>],
@@ -204,7 +220,7 @@ pub fn run_window<I: ConcurrentOrderedIndex<u64> + ?Sized>(
 
 /// Best-of-`rounds` measurement of one frontend × mix cell.
 #[allow(clippy::too_many_arguments)] // a flat description of one bench cell
-pub fn measure_frontend<I: ConcurrentOrderedIndex<u64> + ?Sized>(
+fn measure_frontend<I: ConcurrentOrderedIndex<u64> + ?Sized>(
     index: &I,
     frontend: &'static str,
     shards: usize,
@@ -238,9 +254,8 @@ pub fn measure_frontend<I: ConcurrentOrderedIndex<u64> + ?Sized>(
 
 /// The full scaling sweep of `BENCH_shard.json`: the unsharded baseline
 /// plus 1/2/4/8-shard fronts with the router fast path on and off, for
-/// every mix, interleaved round-robin so scheduler drift hits every cell
-/// equally.
-pub fn measure_scaling(
+/// every mix.
+fn measure_scaling(
     threads: usize,
     keys: usize,
     duration: Duration,
@@ -280,7 +295,7 @@ pub fn measure_scaling(
 
 /// One cell of the telemetry overhead A/B pair.
 #[derive(Debug, Clone)]
-pub struct TelemetryAbSample {
+pub(crate) struct TelemetryAbSample {
     /// `"on"` or `"off"` — the runtime state of `wh_telemetry` recording
     /// during the window.
     pub telemetry: &'static str,
@@ -294,6 +309,22 @@ pub struct TelemetryAbSample {
     pub mops: f64,
 }
 
+/// Shard count of the telemetry A/B front (router fast path on).
+const AB_SHARDS: usize = 4;
+
+impl TelemetryAbSample {
+    fn row(&self) -> Row {
+        Row::new()
+            .str("telemetry", self.telemetry)
+            .str("mix", self.mix)
+            .int("shards", AB_SHARDS as u64)
+            .bool("router_fast_path", true)
+            .int("threads", self.threads as u64)
+            .int("ops", self.ops)
+            .float("mops", self.mops, 3)
+    }
+}
+
 /// Measures the telemetry tax on the hottest cell: the read-heavy mix on
 /// a 4-shard front with the router fast path on, with recording enabled
 /// vs disabled via the runtime switch ([`wh_telemetry::set_enabled`]).
@@ -301,14 +332,14 @@ pub struct TelemetryAbSample {
 /// equally; recording is left enabled afterwards. The tracked baseline
 /// pins the pair within a few percent of each other — the "zero overhead
 /// when idle" budget.
-pub fn measure_telemetry_ab(
+fn measure_telemetry_ab(
     threads: usize,
     keys: usize,
     duration: Duration,
     rounds: usize,
 ) -> Vec<TelemetryAbSample> {
     let probes = resident_keys(keys);
-    let front = build_sharded(4, keys, true);
+    let front = build_sharded(AB_SHARDS, keys, true);
     // (ops, mops) best-of per state: [on, off].
     let mut best = [(0u64, 0.0f64); 2];
     for _ in 0..rounds {
@@ -336,7 +367,7 @@ pub fn measure_telemetry_ab(
 
 /// One phase of the skew-shift scenario.
 #[derive(Debug, Clone)]
-pub struct SkewShiftSample {
+pub(crate) struct SkewShiftSample {
     /// `"balanced"` (uniform churn over the whole keyset), `"shifted"`
     /// (churn confined to the first quarter, right after the shift), or
     /// `"recovered"` (same confined churn after the recovery window).
@@ -353,6 +384,18 @@ pub struct SkewShiftSample {
     pub moved_keys: usize,
 }
 
+impl SkewShiftSample {
+    fn row(&self) -> Row {
+        Row::new()
+            .str("phase", self.phase)
+            .bool("rebalance", self.rebalance)
+            .int("ops", self.ops)
+            .float("mops", self.mops, 3)
+            .int("migrations", self.migrations as u64)
+            .int("moved_keys", self.moved_keys as u64)
+    }
+}
+
 /// The skew-shift scenario: a 4-shard front built balanced for the whole
 /// keyset, hit with structural write-heavy churn that suddenly confines
 /// itself to the first quarter of the key space (one shard's range). With
@@ -360,7 +403,7 @@ pub struct SkewShiftSample {
 /// with it on, a recovery window of traffic interleaved with
 /// [`ShardedWormhole::maybe_rebalance`] migrates boundaries into the hot
 /// range and spreads the load back out. Returns the three measured phases.
-pub fn measure_skew_shift(
+fn measure_skew_shift(
     threads: usize,
     keys: usize,
     duration: Duration,
@@ -429,6 +472,114 @@ pub fn measure_skew_shift(
     let (ops, secs) = run_window(&front, threads, &hot_keys, duration, Mix::WriteHeavy);
     record("recovered", ops, secs, migrations, moved_keys);
     samples
+}
+
+/// The cross-row checks of `BENCH_shard.json`: both router regimes at
+/// every shard count and mix (fast-path-on cells quantify the recovered
+/// read tax, fast-path-off cells keep the classic path comparable), both
+/// productive telemetry states on the read-heavy cell, and every
+/// skew-shift phase with and without rebalancing.
+pub(crate) fn check_shard(
+    series: &[ShardSample],
+    telemetry_ab: &[TelemetryAbSample],
+    skew_shift: &[SkewShiftSample],
+) -> Result<(), String> {
+    let has = |frontend: &str, shards: usize, fast: bool, mix: &str| {
+        series.iter().any(|s| {
+            s.frontend == frontend
+                && s.shards == shards
+                && s.router_fast_path == fast
+                && s.mix == mix
+        })
+    };
+    for mix in ["read_heavy", "mixed", "write_heavy"] {
+        ensure(has("unsharded", 1, true, mix), || {
+            format!("missing unsharded/{mix} cell")
+        })?;
+        for shards in [1, 2, 4, 8] {
+            for fast in [true, false] {
+                ensure(has("sharded", shards, fast, mix), || {
+                    format!("missing sharded cell shards={shards} fast={fast} mix={mix}")
+                })?;
+            }
+        }
+    }
+    let mut states: Vec<&str> = telemetry_ab.iter().map(|s| s.telemetry).collect();
+    states.sort_unstable();
+    states.dedup();
+    ensure(states == ["off", "on"], || {
+        format!("telemetry_ab states {states:?}, want on and off")
+    })?;
+    for s in telemetry_ab {
+        ensure(s.mix == "read_heavy", || {
+            format!("telemetry_ab wrong mix: {s:?}")
+        })?;
+        ensure(s.ops > 0, || {
+            format!("telemetry_ab cell did no work: {s:?}")
+        })?;
+    }
+    for phase in ["balanced", "shifted", "recovered"] {
+        for rebalance in [false, true] {
+            ensure(
+                skew_shift
+                    .iter()
+                    .any(|s| s.phase == phase && s.rebalance == rebalance),
+                || format!("skew_shift missing {phase}/rebalance={rebalance}"),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Measures and checks the `BENCH_shard.json` record.
+pub fn record() -> Report {
+    let threads = quick_or(8usize, 4);
+    let keys = quick_or(100_000usize, 8_000);
+    let window_ms = quick_or(500u64, 40);
+    let rounds = quick_or(3usize, 1);
+    let duration = Duration::from_millis(window_ms);
+    let series = measure_scaling(threads, keys, duration, rounds);
+    let telemetry_ab = measure_telemetry_ab(threads, keys, duration, rounds);
+    let skew_shift: Vec<SkewShiftSample> = [false, true]
+        .into_iter()
+        .flat_map(|rebalance| measure_skew_shift(threads, keys, duration, rebalance))
+        .collect();
+    check_shard(&series, &telemetry_ab, &skew_shift).expect("BENCH_shard.json check");
+    Report::new(
+        "shard_scale",
+        "Aggregate throughput of `threads` worker threads over one shared ordered index of \
+         `keys` resident ~20B keys, leaf capacity 64, best of `rounds` rounds of `window_ms` \
+         each. unsharded = one concurrent Wormhole (single MetaTrieHT writer \
+         mutex); sharded = ShardedWormhole with sample-quantile boundaries at the given shard \
+         count, with router_fast_path recording whether point ops used the migration-idle \
+         biased fast path (no router critical section while no migration runs) or the classic \
+         per-op critical-section path (the pre-fast-path read tax; vacuously true on the \
+         unsharded rows, which have no router). read_heavy = 90% point gets / 10% overwrites; \
+         mixed = 50% gets / 50% overwrites of resident keys; write_heavy = split+merge churn \
+         waves (64 inserts + 64 deletes around a random resident, each wave taking the owning \
+         shard's writer mutex and an RCU grace period) plus 8 gets. skew_shift = a 4-shard \
+         front whose write-heavy churn collapses onto the first quarter of the keyset (one \
+         shard): balanced = pre-shift rate, shifted = right after the collapse, recovered = \
+         after a recovery window of traffic bursts interleaved with maybe_rebalance() \
+         decisions (rebalance=true) or plain traffic (rebalance=false); migrations/moved_keys \
+         count the boundary moves the online rebalancer performed. telemetry_ab = the \
+         read-heavy 4-shard fast-path cell with wh-telemetry recording enabled vs disabled at \
+         runtime, rounds interleaved on/off: the observability tax, expected within a few \
+         percent (counters stay live in both states; only histograms and clock reads toggle). \
+         On a single-CPU host the threads time-slice, so the sharded win comes from \
+         eliminating writer-mutex convoys and cross-thread grace-period waits rather than true \
+         parallelism; multicore hosts add the latter on top.",
+    )
+    .size("threads", threads as u64)
+    .size("keys", keys as u64)
+    .size("rounds", rounds as u64)
+    .size("window_ms", window_ms)
+    .section("series", series.iter().map(ShardSample::row))
+    .section(
+        "telemetry_ab",
+        telemetry_ab.iter().map(TelemetryAbSample::row),
+    )
+    .section("skew_shift", skew_shift.iter().map(SkewShiftSample::row))
 }
 
 #[cfg(test)]

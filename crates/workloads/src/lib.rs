@@ -7,7 +7,9 @@
 //! keysets that reproduce the *structural* properties the paper identifies
 //! as performance-relevant: key length distribution, field composition order
 //! (which controls shared-prefix structure), and the heavy common prefixes of
-//! URLs. See `DESIGN.md` ("Substitutions") for the full rationale.
+//! URLs: the synthetic keysets stand in for the originals, so the
+//! evaluation reproduces the paper's relative trends, not its absolute
+//! numbers.
 //!
 //! It also provides the `Kshort`/`Klong` filler-prefix keysets of Figure 14
 //! and the mixed lookup/insert operation streams of Figure 17.
