@@ -169,10 +169,11 @@ pub struct ScanPage<V> {
     pub resume: Option<Vec<u8>>,
 }
 
-/// A destination for range-collection primitives: both the materialising
-/// `Vec<(Vec<u8>, V)>` output of `range_from` and the arena-backed
-/// [`ScanBatch`] of a cursor, so an index implements its collection loop
-/// once and serves both APIs.
+/// A destination for range-collection primitives: the materialising
+/// `Vec<(Vec<u8>, V)>` output of `range_from`, the arena-backed
+/// [`ScanBatch`] of a cursor, and a serving layer's frame writer (see
+/// [`ConcurrentOrderedIndex::scan_page_into`]), so an index implements its
+/// collection loop once and serves every API.
 pub trait RangeSink<V> {
     /// Accepts the next pair of the scan, in ascending key order.
     fn accept(&mut self, key: &[u8], value: &V);
@@ -442,13 +443,12 @@ impl<'a, V> Cursor<'a, V> {
         Some(&self.batch)
     }
 
-    /// Copies up to `count` pairs into `out` (the materialising bridge that
-    /// lets `range_from` be a thin wrapper over the cursor). Returns how
-    /// many pairs were appended.
-    pub fn collect_next(&mut self, count: usize, out: &mut Vec<(Vec<u8>, V)>) -> usize
-    where
-        V: Clone,
-    {
+    /// Feeds up to `count` pairs to `out` — a pair vector (the
+    /// materialising bridge that lets `range_from` be a thin wrapper over
+    /// the cursor) or any other [`RangeSink`], such as a wire encoder that
+    /// streams the pairs straight into a response frame. Returns how many
+    /// pairs were accepted.
+    pub fn collect_next<S: RangeSink<V> + ?Sized>(&mut self, count: usize, out: &mut S) -> usize {
         let mut appended = 0;
         while appended < count {
             // Tell the source how much of the window is left, so a short
@@ -456,7 +456,7 @@ impl<'a, V> Cursor<'a, V> {
             self.fetch_budget = count - appended;
             match self.next() {
                 Some((key, value)) => {
-                    out.push((key.to_vec(), value.clone()));
+                    out.accept(key, value);
                     appended += 1;
                 }
                 None => break,

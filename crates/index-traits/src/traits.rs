@@ -1,6 +1,6 @@
 //! Index traits implemented by Wormhole and every baseline.
 
-use crate::scan::Cursor;
+use crate::scan::{Cursor, RangeSink};
 
 /// Approximate memory accounting reported by an index.
 ///
@@ -350,16 +350,42 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// assert_eq!(drained.len(), 10);
     /// assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
     /// ```
-    fn scan_page(&self, start: &[u8], limit: usize) -> crate::scan::ScanPage<V> {
+    fn scan_page(&self, start: &[u8], limit: usize) -> crate::scan::ScanPage<V>
+    where
+        V: Clone,
+    {
+        let mut items = Vec::new();
+        let resume = self.scan_page_into(start, limit, &mut items);
+        crate::scan::ScanPage { items, resume }
+    }
+
+    /// [`ConcurrentOrderedIndex::scan_page`] without the page: feeds the
+    /// page's pairs to `sink` in ascending key order and returns the resume
+    /// key (`Some` exactly when the page is full — `limit` pairs, a `limit`
+    /// of 0 counting as 1 — and then the successor of its last key). A
+    /// serving layer passes a sink that encodes each pair straight into its
+    /// response buffer, so a page is never materialised as one `Vec` per
+    /// key.
+    ///
+    /// The default serves the page through one `range_from` call; the
+    /// Wormhole indexes override it with their streaming cursors.
+    fn scan_page_into(
+        &self,
+        start: &[u8],
+        limit: usize,
+        sink: &mut dyn RangeSink<V>,
+    ) -> Option<Vec<u8>> {
         let limit = limit.max(1);
         let items = self.range_from(start, limit);
-        let resume = (items.len() == limit).then(|| {
+        for (key, value) in &items {
+            sink.accept(key, value);
+        }
+        (items.len() == limit).then(|| {
             let mut resume = Vec::new();
             let (last, _) = items.last().expect("limit >= 1 and a full page");
             crate::key::immediate_successor_into(last, &mut resume);
             resume
-        });
-        crate::scan::ScanPage { items, resume }
+        })
     }
 
     /// Opens a resumable streaming cursor at the smallest key `>= start`.

@@ -74,7 +74,7 @@ use wh_shard::{ShardedWormhole, Wormhole};
 use wh_telemetry::{Counter, Histogram, Registry};
 
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{ScanPageWriter, WireRequest, WireResponse};
 
 /// One batch of encoded requests travelling client → server.
 struct RequestBatch {
@@ -367,14 +367,14 @@ impl<I: ?Sized + Route + 'static> ShardServer<I> {
     /// in request order.
     pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
         let mut responses = Vec::with_capacity(requests.len());
-        let stats = self.run_with(requests, |resp| responses.push(resp.clone()));
+        let stats = self.run_with(requests, |resp| responses.push(resp));
         (stats, responses)
     }
 
     fn run_with(
         &self,
         requests: &[WireRequest],
-        mut on_resp: impl FnMut(&WireResponse),
+        mut on_resp: impl FnMut(WireResponse),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handles) = self.spawn();
         let stats = self.client_loop(requests, &req_tx, &resp_rx, &mut on_resp);
@@ -402,7 +402,7 @@ impl<I: ?Sized + Route + 'static> ShardServer<I> {
         requests: &[WireRequest],
         req_tx: &Sender<RequestBatch>,
         resp_rx: &Receiver<ResponseBatch>,
-        on_resp: &mut impl FnMut(&WireResponse),
+        on_resp: &mut impl FnMut(WireResponse),
     ) -> Option<ServiceStats> {
         let start = Instant::now();
         let mut stats = ServiceStats {
@@ -428,7 +428,7 @@ impl<I: ?Sized + Route + 'static> ShardServer<I> {
                 }
                 stats.operations += 1;
                 count += 1;
-                on_resp(&resp);
+                on_resp(resp);
             }
             let sent = in_flight.pop_front().expect("a response implies a send");
             if let Some(sent) = sent {
@@ -681,13 +681,16 @@ fn execute_into<I: ?Sized + ConcurrentOrderedIndex<u64>>(
                 resp
             }
             WireRequest::Scan { start, limit } => {
+                // Streamed: the index feeds each pair straight into the
+                // frame; no page of pairs is built here.
                 let timing = wh_telemetry::start_timing();
-                let page = index.scan_page(start, *limit as usize);
+                let mut page = ScanPageWriter::begin(out);
+                let resume = index.scan_page_into(start, *limit as usize, &mut page);
+                page.finish(resume.as_deref());
                 metrics.scan_ns.record_elapsed(timing);
-                WireResponse::ScanPage {
-                    items: page.items,
-                    resume: page.resume,
-                }
+                ends.push(out.len());
+                i += 1;
+                continue;
             }
             WireRequest::Stats => {
                 metrics.stats_requests.inc();
@@ -907,6 +910,132 @@ mod tests {
         assert!(streamed.windows(2).all(|w| w[0].0 < w[1].0));
         let direct = index.range_from(b"", usize::MAX);
         assert_eq!(streamed, direct);
+    }
+
+    /// A lock-around-`BTreeMap` index that keeps every trait default, the
+    /// `scan_page_into` fallback through `range_from` included.
+    #[derive(Default)]
+    struct LockedMap(std::sync::Mutex<std::collections::BTreeMap<Vec<u8>, u64>>);
+
+    impl ConcurrentOrderedIndex<u64> for LockedMap {
+        fn name(&self) -> &'static str {
+            "locked-map"
+        }
+        fn get(&self, key: &[u8]) -> Option<u64> {
+            self.0.lock().unwrap().get(key).copied()
+        }
+        fn set(&self, key: &[u8], value: u64) -> Option<u64> {
+            self.0.lock().unwrap().insert(key.to_vec(), value)
+        }
+        fn del(&self, key: &[u8]) -> Option<u64> {
+            self.0.lock().unwrap().remove(key)
+        }
+        fn len(&self) -> usize {
+            self.0.lock().unwrap().len()
+        }
+        fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
+            let map = self.0.lock().unwrap();
+            map.range(start.to_vec()..)
+                .take(count)
+                .map(|(k, v)| (k.clone(), *v))
+                .collect()
+        }
+        fn stats(&self) -> IndexStats {
+            IndexStats::default()
+        }
+    }
+
+    /// Asserts that every `Scan` served for `index` is byte-identical to
+    /// the `ScanPage` frame built from `index.scan_page` — both at the
+    /// worker's encoder and decoded at the client of a full `ShardServer`
+    /// run — and that `scan_page` pages like `range_from`. Starts: empty,
+    /// exact keys, between keys, past the end, and `extra_starts`; limits:
+    /// 0, 1, 127 and more than the index holds.
+    fn assert_scan_wire_identity<I: ?Sized + Route + 'static>(
+        index: Arc<I>,
+        n: usize,
+        extra_starts: &[Vec<u8>],
+    ) {
+        let key = |i: usize| format!("key-{i:08}").into_bytes();
+        let mut starts = vec![Vec::new(), key(0), key(n / 2), key(n - 1)];
+        starts.extend([key(n / 3), key(n - 2)].map(|mut k| {
+            k.push(0); // strictly between two adjacent keys
+            k
+        }));
+        starts.push(b"key-\xff".to_vec());
+        starts.extend_from_slice(extra_starts);
+        let mut requests = Vec::new();
+        for start in &starts {
+            for limit in [0, 1, 127, n as u32 + 10] {
+                requests.push(WireRequest::Scan {
+                    start: start.clone(),
+                    limit,
+                });
+            }
+        }
+        let expected: Vec<WireResponse> = requests
+            .iter()
+            .map(|req| {
+                let WireRequest::Scan { start, limit } = req else {
+                    unreachable!("scan requests only")
+                };
+                let page = index.scan_page(start, *limit as usize);
+                let want = (*limit as usize).max(1);
+                assert_eq!(page.items, index.range_from(start, want), "{req:?}");
+                let full = page.items.len() == want;
+                let successor = page.items.last().map(|(k, _)| {
+                    let mut k = k.clone();
+                    k.push(0);
+                    k
+                });
+                assert_eq!(page.resume, successor.filter(|_| full), "{req:?}");
+                WireResponse::ScanPage {
+                    items: page.items,
+                    resume: page.resume,
+                }
+            })
+            .collect();
+
+        let items: Vec<(usize, WireRequest)> = requests.iter().cloned().enumerate().collect();
+        let (mut out, mut ends) = (BytesMut::new(), Vec::new());
+        let (registry, metrics) = (Registry::new(), ServiceMetrics::default());
+        execute_into(&*index, &items, &mut out, &mut ends, &registry, &metrics);
+        let mut frame_start = 0;
+        for (resp, &end) in expected.iter().zip(&ends) {
+            let mut want = BytesMut::new();
+            resp.encode(&mut want);
+            assert_eq!(&out.as_ref()[frame_start..end], want.as_ref(), "{resp:?}");
+            frame_start = end;
+        }
+        assert_eq!(ends.len(), expected.len());
+
+        let server = ShardServer::with_batch_size(index, 2, 7);
+        let (_, served) = server.run_collect(&requests);
+        assert_eq!(served, expected);
+    }
+
+    #[test]
+    fn served_scan_pages_are_byte_identical_to_scan_page_frames() {
+        let n = 1000;
+        assert_scan_wire_identity(loaded_index(n), n, &[]);
+
+        // Starts 50 keys below each inner boundary: limit-127 pages cross
+        // from one shard into the next.
+        let sharded = loaded_sharded(4, n);
+        let quartile = |q: usize, back: usize| format!("key-{:08}", q * n / 4 - back).into_bytes();
+        assert_eq!(
+            sharded.boundaries(),
+            (1..4).map(|q| quartile(q, 0)).collect::<Vec<_>>()
+        );
+        let near_boundaries: Vec<Vec<u8>> = (1..4).map(|q| quartile(q, 50)).collect();
+        assert_scan_wire_identity(sharded, n, &near_boundaries);
+
+        let map = LockedMap::default();
+        for i in 0..n as u64 {
+            map.set(format!("key-{i:08}").as_bytes(), i);
+        }
+        let baseline: Arc<dyn ConcurrentOrderedIndex<u64>> = Arc::new(map);
+        assert_scan_wire_identity(baseline, n, &[]);
     }
 
     #[test]

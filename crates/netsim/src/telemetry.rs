@@ -25,7 +25,9 @@ pub struct ServiceMetrics {
     /// Service time per range scan.
     pub range_ns: Histogram,
     /// Service time per streaming-scan page
-    /// ([`WireRequest::Scan`](crate::WireRequest::Scan)).
+    /// ([`WireRequest::Scan`](crate::WireRequest::Scan)), including the
+    /// encoding of its frame: the pairs are encoded as the scan yields
+    /// them.
     pub scan_ns: Histogram,
     /// Requests per decoded message (the wire batch-size distribution).
     pub batch_requests: Histogram,

@@ -1,6 +1,7 @@
 //! Wire format and link model.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use index_traits::RangeSink;
 
 /// A single request on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,21 +151,11 @@ impl WireResponse {
                 buf.put_slice(text.as_bytes());
             }
             WireResponse::ScanPage { items, resume } => {
-                buf.put_u8(TAG_SCAN_PAGE);
-                buf.put_u32(items.len() as u32);
+                let mut page = ScanPageWriter::begin(buf);
                 for (k, v) in items {
-                    buf.put_u32(k.len() as u32);
-                    buf.put_slice(k);
-                    buf.put_u64(*v);
+                    page.accept(k, v);
                 }
-                match resume {
-                    Some(key) => {
-                        buf.put_u8(1);
-                        buf.put_u32(key.len() as u32);
-                        buf.put_slice(key);
-                    }
-                    None => buf.put_u8(0),
-                }
+                page.finish(resume.as_deref());
             }
         }
     }
@@ -207,6 +198,56 @@ impl WireResponse {
     }
 }
 
+/// Streams one [`WireResponse::ScanPage`] frame into a buffer: the pairs
+/// arrive one by one through [`RangeSink::accept`] — straight from an
+/// index's `scan_page_into` — and [`ScanPageWriter::finish`] patches the
+/// pair count and appends the resume key. The one definition of the
+/// frame's bytes; `WireResponse::encode` writes its pages through it too.
+pub(crate) struct ScanPageWriter<'a> {
+    buf: &'a mut BytesMut,
+    /// Offset of the frame's `u32` pair count, written as 0 until `finish`.
+    count_at: usize,
+    count: u32,
+}
+
+impl<'a> ScanPageWriter<'a> {
+    /// Appends the frame header to `buf`, with a placeholder count.
+    pub(crate) fn begin(buf: &'a mut BytesMut) -> Self {
+        buf.put_u8(TAG_SCAN_PAGE);
+        let count_at = buf.len();
+        buf.put_u32(0);
+        Self {
+            buf,
+            count_at,
+            count: 0,
+        }
+    }
+
+    /// Completes the frame: the pair count, then the resume key (`None`
+    /// once the scan is exhausted).
+    pub(crate) fn finish(self, resume: Option<&[u8]>) {
+        self.buf.as_mut()[self.count_at..self.count_at + 4]
+            .copy_from_slice(&self.count.to_be_bytes());
+        match resume {
+            Some(key) => {
+                self.buf.put_u8(1);
+                self.buf.put_u32(key.len() as u32);
+                self.buf.put_slice(key);
+            }
+            None => self.buf.put_u8(0),
+        }
+    }
+}
+
+impl RangeSink<u64> for ScanPageWriter<'_> {
+    fn accept(&mut self, key: &[u8], value: &u64) {
+        self.buf.put_u32(key.len() as u32);
+        self.buf.put_slice(key);
+        self.buf.put_u64(*value);
+        self.count += 1;
+    }
+}
+
 // Bounds-checked readers: each returns `None`, instead of panicking, when
 // `buf` holds fewer bytes than the field needs.
 
@@ -222,10 +263,13 @@ fn take_u64(buf: &mut Bytes) -> Option<u64> {
     (buf.remaining() >= 8).then(|| buf.get_u64())
 }
 
-/// A `u32` length prefix and that many bytes.
+/// A `u32` length prefix and that many bytes, copied straight out of the
+/// buffer (no shared view of it is made per key).
 fn take_key(buf: &mut Bytes) -> Option<Vec<u8>> {
     let len = take_u32(buf)? as usize;
-    (buf.remaining() >= len).then(|| buf.split_to(len).to_vec())
+    let key = buf.chunk().get(..len)?.to_vec();
+    buf.advance(len);
+    Some(key)
 }
 
 /// A `u32` count and that many `key u64:value` pairs. The count comes off

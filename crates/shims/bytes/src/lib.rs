@@ -4,8 +4,9 @@
 //! subset of the `bytes` API the workspace uses: [`BytesMut`] as a growable
 //! write buffer with the [`BufMut`] putters, and [`Bytes`] as a cheaply
 //! cloneable read view with the [`Buf`] getters (big-endian, like `bytes`).
-//! Sharing is an `Arc<[u8]>` plus a cursor, so `clone` and `split_to` never
-//! copy payload bytes.
+//! Sharing is an `Arc<Vec<u8>>` plus a window, so `freeze`, `clone` and
+//! `split_to` never copy payload bytes: freezing moves the written `Vec`
+//! into the shared allocation as it is.
 
 use std::sync::Arc;
 
@@ -99,13 +100,10 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`].
+    /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`]
+    /// without copying (the view shares this buffer's allocation).
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::from(self.data.into_boxed_slice()),
-            start: 0,
-            end_offset: 0,
-        }
+        Bytes::from(self.data)
     }
 }
 
@@ -121,43 +119,36 @@ impl AsRef<[u8]> for BytesMut {
     }
 }
 
+impl AsMut<[u8]> for BytesMut {
+    fn as_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+}
+
 /// An immutable, cheaply cloneable view of a byte buffer.
 #[derive(Debug, Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     /// First live byte.
     start: usize,
-    /// Bytes cut off the end (`data.len() - end_offset` is one past the
-    /// last live byte).
-    end_offset: usize,
+    /// One past the last live byte.
+    end: usize,
 }
 
 impl Bytes {
     /// Creates an empty view.
     pub fn new() -> Self {
-        Self {
-            data: Arc::from([]),
-            start: 0,
-            end_offset: 0,
-        }
+        Self::from(Vec::new())
     }
 
     /// Copies `slice` into a new view.
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Self {
-            data: Arc::from(slice),
-            start: 0,
-            end_offset: 0,
-        }
-    }
-
-    fn end(&self) -> usize {
-        self.data.len() - self.end_offset
+        Self::from(slice.to_vec())
     }
 
     /// Number of live bytes.
     pub fn len(&self) -> usize {
-        self.end() - self.start
+        self.end - self.start
     }
 
     /// Returns `true` when no bytes remain.
@@ -172,7 +163,7 @@ impl Bytes {
         let head = Bytes {
             data: Arc::clone(&self.data),
             start: self.start,
-            end_offset: self.data.len() - (self.start + n),
+            end: self.start + n,
         };
         self.start += n;
         head
@@ -192,7 +183,7 @@ impl Default for Bytes {
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end()]
+        &self.data[self.start..self.end]
     }
 }
 
@@ -207,9 +198,9 @@ impl Eq for Bytes {}
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Self {
-            data: Arc::from(v.into_boxed_slice()),
+            end: v.len(),
+            data: Arc::new(v),
             start: 0,
-            end_offset: 0,
         }
     }
 }
@@ -247,6 +238,17 @@ mod tests {
         assert_eq!(b.split_to(3).as_ref(), b"key");
         assert_eq!(b.get_u64(), 42);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn freeze_moves_the_buffer_without_copying() {
+        // Spare capacity too: a shrink-to-fit would reallocate.
+        let mut buf = BytesMut::with_capacity(4096);
+        buf.put_slice(&[7; 100]);
+        let written = buf.as_ref().as_ptr();
+        let frozen = buf.freeze();
+        assert_eq!(frozen.as_ref().as_ptr(), written);
+        assert_eq!(frozen.as_ref(), &[7; 100][..]);
     }
 
     #[test]

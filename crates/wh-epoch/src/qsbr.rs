@@ -986,19 +986,28 @@ mod tests {
         // The full biased protocol under load: readers prefer fast sections
         // and fall back to classic ones while the writer is mid-swap; the
         // writer brackets every retire cycle with drain_barrier/resume_bias.
+        // Readers are registered and running before the first generation,
+        // and every generation waits for a fast hit after resuming the
+        // bias, so the fast path is exercised between every pair of
+        // barriers regardless of how the threads are scheduled.
         let q = Qsbr::new();
         q.resume_bias();
         let initial = Box::into_raw(Box::new(vec![1u64; 64]));
         let ptr = StdArc::new(AtomicPtr::new(initial));
         let stop = StdArc::new(AtomicBool::new(false));
+        let shared_fast = StdArc::new(AtomicU64::new(0));
+        let start = StdArc::new(std::sync::Barrier::new(5));
 
         let mut readers = Vec::new();
         for _ in 0..4 {
             let q = q.clone();
             let ptr = StdArc::clone(&ptr);
             let stop = StdArc::clone(&stop);
+            let shared_fast = StdArc::clone(&shared_fast);
+            let start = StdArc::clone(&start);
             readers.push(thread::spawn(move || {
                 let h = q.register();
+                start.wait();
                 let mut checksum = 0u64;
                 let mut fast_hits = 0u64;
                 while !stop.load(Ordering::SeqCst) {
@@ -1010,6 +1019,7 @@ mod tests {
                         let v = unsafe { &*p };
                         checksum = checksum.wrapping_add(v[0]);
                         fast_hits += 1;
+                        shared_fast.fetch_add(1, Ordering::SeqCst);
                         drop(fast);
                     } else {
                         let guard = h.enter();
@@ -1025,6 +1035,7 @@ mod tests {
             }));
         }
 
+        start.wait();
         for gen in 2u64..30 {
             q.drain_barrier();
             let new = Box::into_raw(Box::new(vec![gen; 64]));
@@ -1033,9 +1044,17 @@ mod tests {
             // SAFETY: fast sections drained at the barrier and every classic
             // reader passed a quiescent state since the swap.
             unsafe { drop(Box::from_raw(old)) };
+            let seen = shared_fast.load(Ordering::SeqCst);
             q.resume_bias();
-            // Give readers a window to actually take the fast path.
-            thread::yield_now();
+            // Wait until a reader actually takes the fast path.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while shared_fast.load(Ordering::SeqCst) == seen {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no fast hit within 10 s of resume_bias (generation {gen})"
+                );
+                thread::yield_now();
+            }
         }
         stop.store(true, Ordering::SeqCst);
         let mut total_fast = 0u64;

@@ -7,7 +7,9 @@
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
+use index_traits::{
+    ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, RangeSink, ScanBatch,
+};
 use parking_lot::Mutex;
 use wh_epoch::Qsbr;
 use wh_telemetry::{Counter, Registry};
@@ -765,6 +767,17 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
         }
         self.scan(start).collect_next(count, &mut out);
         out
+    }
+
+    fn scan_page_into(
+        &self,
+        start: &[u8],
+        limit: usize,
+        sink: &mut dyn RangeSink<V>,
+    ) -> Option<Vec<u8>> {
+        let limit = limit.max(1);
+        let mut cursor = self.scan(start);
+        (cursor.collect_next(limit, sink) == limit).then(|| cursor.resume_key())
     }
 
     /// Opens a cross-shard streaming cursor: per-shard cursor segments

@@ -13,7 +13,10 @@
 //!   reader falls back to the leaf's reader lock, which bounds worst-case
 //!   latency under heavy write contention. Ordered scans stream one
 //!   validated leaf snapshot per batch (`ScanSource`) — per-leaf
-//!   atomicity, no global snapshot across batches;
+//!   atomicity, no global snapshot across batches. A scan that reaches a
+//!   leaf whose key order lags (unsorted appendees) takes that leaf's
+//!   write lock once to run the paper's `incSort` in place, then reads
+//!   it again; later scans find it sorted until the next insert;
 //! * a **writer lock per leaf node** — in-place inserts, deletes, and the
 //!   structural operations serialise on it exactly as in the paper;
 //! * a single **writer mutex over the MetaTrieHT** — only split and merge
@@ -38,8 +41,9 @@
 //!
 //! Readers never take the writer mutex and never wait for grace periods.
 //! On the hot path they take no lock at all; the only blocking they can
-//! ever experience is on an individual leaf lock after
-//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts.
+//! ever experience is on an individual leaf lock: after
+//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts, or — for a
+//! scan — once per leaf that inserts left unsorted since the last scan.
 //!
 //! # Safety model of the optimistic read
 //!
@@ -68,14 +72,16 @@
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
+use index_traits::{
+    ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, RangeSink, ScanBatch,
+};
 use parking_lot::{Mutex, RwLock};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
 
 use crate::config::WormholeConfig;
 use crate::core;
-use crate::leaf::{LeafGarbage, LeafNode, ReadConflict, TailScratch};
+use crate::leaf::{LeafGarbage, LeafNode, ReadConflict};
 use crate::meta::{LeafRef, MetaPlan, MetaTable, TargetOutcome, BATCH_WINDOW};
 use crate::prefetch::prefetch_read;
 use crate::telemetry::WormholeMetrics;
@@ -735,6 +741,20 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
     }
 
+    /// The paper's `incSort` for a scan: sorts `leaf`'s lagging key order
+    /// in place while its write lock (`data`) is held, inside a seqlock
+    /// write section so racing optimistic reads discard what they saw.
+    /// Allocates nothing (the tail is ordered in `scratch`) and retires no
+    /// buffer; a no-op when the leaf is already sorted.
+    fn sort_locked(&self, leaf: &LeafHandle<V>, data: &mut LeafData<V>, scratch: &mut Vec<u16>) {
+        if data.leaf.is_key_sorted() {
+            return;
+        }
+        let _section = SeqWriteSection::new(&leaf.0.seq);
+        data.leaf.inc_sort(scratch);
+        self.metrics.scan_leaf_sorts.inc();
+    }
+
     // ------------------------------------------------------------------
     // Split and merge (the third operation group of §2.5). The logic —
     // split-point selection, anchor formation, meta-item bookkeeping —
@@ -1107,7 +1127,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 }
 
 /// Seqlock-validated batch-per-leaf [`CursorSource`] over the concurrent
-/// index — the engine under both `scan` and `range_from`.
+/// index — the engine under `scan`, `range_from` and `scan_page_into`.
 ///
 /// Every batch snapshots exactly one leaf inside a QSBR critical section
 /// with the same discipline as the optimistic `get`: locate the leaf
@@ -1116,7 +1136,10 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 /// bounds-checked [`LeafNode::collect_leaf_checked`], and keep the batch
 /// only if the seqlock validates (validate-then-yield). A conflicted batch
 /// is discarded and retried; after [`OPTIMISTIC_SCAN_RETRIES`] conflicts
-/// the remainder of the scan reads leaves under their reader locks.
+/// the remainder of the scan reads leaves under their reader locks. A leaf
+/// whose key order lags is sorted in place under its write lock
+/// ([`Wormhole::sort_locked`]) and read again, so each leaf is sorted once,
+/// not once per scan.
 ///
 /// Between batches the cursor holds **no position inside the structure**:
 /// it records the snapshotted leaf's right-sibling anchor (clamped to the
@@ -1134,31 +1157,38 @@ struct ScanSource<'a, V: Clone + Send + Sync> {
     bound_buf: Vec<u8>,
     /// Scratch holding the right sibling's anchor read.
     anchor_buf: Vec<u8>,
-    /// Snapshot arena for lazily-sorted leaf tails (optimistic mode).
-    tail: TailScratch,
-    /// Index scratch for the locked fallback's lazy-tail merge.
+    /// Index scratch for `incSort` of an unsorted leaf's tail.
     scratch16: Vec<u16>,
     /// Seqlock conflicts so far across the whole scan.
     conflicts: usize,
     done: bool,
 }
 
+/// Outcome of one optimistic batch attempt of [`ScanSource`].
+enum Snapshot<V> {
+    /// The batch was filled and validated: the leaf's successor link and
+    /// whether the budget may have truncated the batch mid-leaf.
+    Filled(Option<LeafHandle<V>>, bool),
+    /// The leaf's key order lags; sort it and read again.
+    Unsorted(LeafHandle<V>),
+}
+
 impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
     /// One optimistic batch attempt: snapshot the leaf covering `resume` —
     /// up to `limit` pairs of it — and its successor link, all validated by
     /// the leaf's seqlock. Runs inside one QSBR critical section so the
-    /// published table and the leaf stay live. The `bool` reports whether
-    /// the budget may have truncated the batch mid-leaf, in which case the
-    /// successor link is not meaningful and the caller must resume from the
-    /// last streamed key instead of the sibling anchor.
+    /// published table and the leaf stay live. A truncated
+    /// [`Snapshot::Filled`] means the budget may have cut the batch
+    /// mid-leaf, in which case the successor link is not meaningful and the
+    /// caller must resume from the last streamed key instead of the sibling
+    /// anchor. A leaf that reads unsorted is handed back (its handle keeps
+    /// it alive past the critical section) for the caller to sort.
     fn try_fill_optimistic(
         &mut self,
         batch: &mut ScanBatch<V>,
         limit: usize,
-    ) -> Result<(Option<LeafHandle<V>>, bool), ReadConflict> {
-        let Self {
-            wh, resume, tail, ..
-        } = self;
+    ) -> Result<Snapshot<V>, ReadConflict> {
+        let Self { wh, resume, .. } = self;
         let wh = *wh;
         wh.qsbr.with_local_handle(|handle| {
             handle.critical(|| {
@@ -1172,19 +1202,20 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
                 // bounds-checked and the batch is discarded unless the
                 // seqlock validates.
                 let data = unsafe { &*shared.data.data_ptr() };
-                let appended = data.leaf.collect_leaf_checked(
-                    resume,
-                    limit,
-                    batch,
-                    tail,
-                    MAX_OPTIMISTIC_KEY_LEN,
-                )?;
+                if !data.leaf.is_key_sorted() {
+                    // A torn read may only claim this; `sort_locked`
+                    // re-checks under the lock.
+                    return Ok(Snapshot::Unsorted(leaf));
+                }
+                let appended =
+                    data.leaf
+                        .collect_leaf_checked(resume, limit, batch, MAX_OPTIMISTIC_KEY_LEN)?;
                 let truncated = appended == limit;
                 let next = if truncated { None } else { data.next.clone() };
                 if !shared.seq_validate(snapshot) {
                     return Err(ReadConflict);
                 }
-                Ok((next, truncated))
+                Ok(Snapshot::Filled(next, truncated))
             })
         })
     }
@@ -1251,45 +1282,60 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
     /// Reader-lock fallback: reads the leaf covering `resume` under its
     /// read lock (restarting on version conflicts) and advances the bound
     /// from its right sibling's anchor, which is exact here — holding the
-    /// current leaf's read lock pins the link, since any split or merge
-    /// involving either leaf needs this leaf's write lock.
+    /// current leaf's lock pins the link, since any split or merge
+    /// involving either leaf needs this leaf's write lock. An unsorted leaf
+    /// is read under its write lock instead, right after sorting it there.
     fn fill_locked(&mut self, batch: &mut ScanBatch<V>, limit: usize) {
         loop {
             let (leaf, version) = self.wh.locate(&self.resume);
-            let data = leaf.0.data.read();
+            let read = leaf.0.data.read();
             if leaf.expected_version() > version {
                 continue;
             }
-            batch.clear();
-            let appended =
-                data.leaf
-                    .collect_leaf_unsorted(&self.resume, limit, batch, &mut self.scratch16);
-            if appended == limit {
-                // Possibly truncated mid-leaf by the window budget: resume
-                // just past the last streamed key, within the same leaf.
+            if read.leaf.is_key_sorted() {
+                self.fill_from_locked(&read, batch, limit);
+                return;
+            }
+            drop(read);
+            let mut write = leaf.0.data.write();
+            if leaf.expected_version() > version {
+                continue;
+            }
+            self.wh.sort_locked(&leaf, &mut write, &mut self.scratch16);
+            self.fill_from_locked(&write, batch, limit);
+            return;
+        }
+    }
+
+    /// The body of [`ScanSource::fill_locked`] once the leaf is locked and
+    /// sorted.
+    fn fill_from_locked(&mut self, data: &LeafData<V>, batch: &mut ScanBatch<V>, limit: usize) {
+        batch.clear();
+        let appended = data.leaf.collect_range_into(&self.resume, limit, batch);
+        if appended == limit {
+            // Possibly truncated mid-leaf by the window budget: resume
+            // just past the last streamed key, within the same leaf.
+            let progressed = Self::bump_resume(
+                &mut self.resume,
+                &mut self.bound_buf,
+                batch.last_key(),
+                None,
+            );
+            debug_assert!(progressed, "truncated batch holds pairs");
+            return;
+        }
+        match &data.next {
+            None => self.done = true,
+            Some(next) => {
+                let next_data = next.0.data.read();
                 let progressed = Self::bump_resume(
                     &mut self.resume,
                     &mut self.bound_buf,
                     batch.last_key(),
-                    None,
+                    Some(next_data.leaf.anchor()),
                 );
-                debug_assert!(progressed, "truncated batch holds pairs");
-                return;
+                debug_assert!(progressed, "locked scan failed to advance its bound");
             }
-            match &data.next {
-                None => self.done = true,
-                Some(next) => {
-                    let next_data = next.0.data.read();
-                    let progressed = Self::bump_resume(
-                        &mut self.resume,
-                        &mut self.bound_buf,
-                        batch.last_key(),
-                        Some(next_data.leaf.anchor()),
-                    );
-                    debug_assert!(progressed, "locked scan failed to advance its bound");
-                }
-            }
-            return;
         }
     }
 }
@@ -1298,6 +1344,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
     fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
         let limit = limit.max(1);
         batch.clear();
+        let mut sorted_here = false;
         while !self.done {
             let optimistic = self.wh.uses_optimistic() && self.conflicts < OPTIMISTIC_SCAN_RETRIES;
             if !optimistic {
@@ -1313,7 +1360,19 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
                     self.conflicts += 1;
                     std::hint::spin_loop();
                 }
-                Ok((_, true)) => {
+                Ok(Snapshot::Unsorted(leaf)) => {
+                    // A second unsorted read within one batch means inserts
+                    // keep landing in the leaf: count it as a conflict so
+                    // the locked mode, which reads right after sorting,
+                    // bounds the retries.
+                    if sorted_here {
+                        self.conflicts += 1;
+                    }
+                    sorted_here = true;
+                    let mut data = leaf.0.data.write();
+                    self.wh.sort_locked(&leaf, &mut data, &mut self.scratch16);
+                }
+                Ok(Snapshot::Filled(_, true)) => {
                     // Truncated mid-leaf by the window budget: resume just
                     // past the last streamed pair; the next batch
                     // re-descends into the remainder of the same leaf.
@@ -1326,10 +1385,10 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
                     debug_assert!(progressed, "truncated batch holds pairs");
                     return true;
                 }
-                Ok((None, false)) => {
+                Ok(Snapshot::Filled(None, false)) => {
                     self.done = true;
                 }
-                Ok((Some(next_leaf), false)) => {
+                Ok(Snapshot::Filled(Some(next_leaf), false)) => {
                     let have_anchor = Self::read_anchor(&next_leaf, &mut self.anchor_buf);
                     let anchor = if have_anchor {
                         Some(self.anchor_buf.as_slice())
@@ -1364,7 +1423,6 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
         self.resume.reserve(key_bytes);
         self.bound_buf.reserve(key_bytes);
         self.anchor_buf.reserve(key_bytes);
-        self.tail.reserve(items, key_bytes);
         self.scratch16.reserve(items);
     }
 }
@@ -1570,6 +1628,17 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         out
     }
 
+    fn scan_page_into(
+        &self,
+        start: &[u8],
+        limit: usize,
+        sink: &mut dyn RangeSink<V>,
+    ) -> Option<Vec<u8>> {
+        let limit = limit.max(1);
+        let mut cursor = self.scan(start);
+        (cursor.collect_next(limit, sink) == limit).then(|| cursor.resume_key())
+    }
+
     fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>
     where
         V: Clone + 'a,
@@ -1581,7 +1650,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                 resume: start.to_vec(),
                 bound_buf: Vec::new(),
                 anchor_buf: Vec::new(),
-                tail: TailScratch::new(),
                 scratch16: Vec::new(),
                 conflicts: 0,
                 done: false,
@@ -1630,6 +1698,56 @@ mod tests {
 
     fn small_config() -> WormholeConfig {
         WormholeConfig::optimized().with_leaf_capacity(8)
+    }
+
+    /// Leaves whose key order lags: the ones a scan must sort.
+    fn unsorted_leaves<V>(wh: &Wormhole<V>) -> u64 {
+        let mut unsorted = 0;
+        let mut cur = Some(wh.head.clone());
+        while let Some(leaf) = cur {
+            let data = leaf.0.data.read();
+            unsorted += u64::from(!data.leaf.is_key_sorted());
+            cur = data.next.clone();
+        }
+        unsorted
+    }
+
+    #[test]
+    fn a_scan_sorts_each_unsorted_leaf_once() {
+        // Optimistic and locked scans both sort in place under the leaf's
+        // write lock, once per leaf: the first full scan — paged in 3s, so
+        // most leaves are entered several times — sorts exactly the leaves
+        // the random-order inserts left unsorted, and a second scan sorts
+        // none.
+        for config in [small_config(), small_config().with_optimistic_reads(false)] {
+            let wh: Wormhole<u64> = Wormhole::with_config(config);
+            let n = 5_000u64;
+            for i in 0..n {
+                let k = i * 7919 % n;
+                wh.set(format!("sort-{k:06}").as_bytes(), k);
+            }
+            let unsorted = unsorted_leaves(&wh);
+            assert!(unsorted > 10, "random-order inserts leave tails unsorted");
+            assert_eq!(wh.metrics().scan_leaf_sorts.get(), 0);
+
+            let mut start = Vec::new();
+            let mut streamed = Vec::new();
+            loop {
+                let page = wh.scan_page(&start, 3);
+                streamed.extend(page.items.into_iter().map(|(_, v)| v));
+                match page.resume {
+                    Some(resume) => start = resume,
+                    None => break,
+                }
+            }
+            assert_eq!(streamed, (0..n).collect::<Vec<_>>());
+            assert_eq!(wh.metrics().scan_leaf_sorts.get(), unsorted);
+            assert_eq!(unsorted_leaves(&wh), 0);
+
+            assert_eq!(wh.range_from(b"", usize::MAX).len(), n as usize);
+            assert_eq!(wh.metrics().scan_leaf_sorts.get(), unsorted);
+            wh.check_invariants();
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::meta::{LeafRef, MetaPlan, MetaTable};
 /// when no valid split point exists — the caller keeps the leaf as a
 /// *fat node*.
 pub fn choose_split_point<V>(leaf: &mut LeafNode<V>) -> Option<(usize, Vec<u8>)> {
-    leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+    leaf.inc_sort(&mut Vec::new());
     let n = leaf.len();
     if n < 2 {
         return None;
@@ -89,7 +89,7 @@ pub fn prepare_split<V, L: LeafRef>(
     table: &MetaTable<L>,
     bin: &mut LeafGarbage<V>,
 ) -> Option<PreparedSplit<V>> {
-    leaf.ensure_key_sorted_retiring(bin);
+    leaf.inc_sort(&mut Vec::new());
     let (at, anchor) = choose_split_point(leaf)?;
     let table_key = table.reserve_anchor_key(&anchor);
     let right = leaf.split_off_retiring(at, anchor.clone(), table_key.clone(), bin);

@@ -8,7 +8,12 @@
 //!   positioning (*DirectPos*);
 //! * the **key order** — a key-sorted view that is allowed to lag behind: new
 //!   items are appended unsorted and merged in only when a range scan or a
-//!   split needs full ordering (the paper's `incSort`).
+//!   split needs full ordering (the paper's `incSort`, [`LeafNode::inc_sort`],
+//!   which rewrites the view in place). The concurrent index sorts a leaf
+//!   under its write lock the first time a scan reaches it unsorted, so
+//!   later scans of that leaf are a plain walk of the sorted view; only the
+//!   single-threaded cursor, which cannot mutate through `&self`, merges the
+//!   tail on the fly instead ([`LeafNode::collect_leaf_unsorted`]).
 //!
 //! The leaf also remembers its *logical anchor* (used in ordering
 //! comparisons) and its *table key* (the anchor as registered in the
@@ -26,75 +31,6 @@ use crate::config::WormholeConfig;
 /// must validate its seqlock and retry; the observed data is meaningless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadConflict;
-
-/// Reusable snapshot buffer for the unsorted tail of a leaf's key view,
-/// used by the `*_checked` collectors of the optimistic read path.
-///
-/// Tail keys are copied into one flat byte arena (rather than one `Vec<u8>`
-/// per entry) before being ordered, for two reasons: the sort comparator
-/// then runs over owned, immutable bytes — a genuine total order even when
-/// the leaf is being mutated underneath, which `sort_unstable_by` may
-/// otherwise punish with a panic — and a scan that reuses the scratch
-/// across leaves performs zero allocations per batch in steady state.
-#[derive(Debug, Default)]
-pub struct TailScratch {
-    /// Concatenated snapshotted key bytes.
-    bytes: Vec<u8>,
-    /// Per entry: (start, end) into `bytes` plus the item's `kvs` index.
-    ents: Vec<(usize, usize, u16)>,
-}
-
-impl TailScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes for `items` tail entries totalling `key_bytes` of payload.
-    pub fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.bytes.reserve(key_bytes);
-        self.ents.reserve(items);
-    }
-
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ents.clear();
-    }
-
-    fn push(&mut self, key: &[u8], idx: u16) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(key);
-        self.ents.push((start, self.bytes.len(), idx));
-    }
-
-    /// Sorts the entries by snapshotted key (ties broken by item index —
-    /// duplicate keys only arise from torn reads, which the caller's
-    /// validation discards anyway).
-    fn sort(&mut self) {
-        let bytes = &self.bytes;
-        self.ents
-            .sort_unstable_by(|a, b| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]).then(a.2.cmp(&b.2)));
-    }
-
-    fn len(&self) -> usize {
-        self.ents.len()
-    }
-
-    fn key(&self, i: usize) -> &[u8] {
-        let (start, end, _) = self.ents[i];
-        &self.bytes[start..end]
-    }
-
-    fn idx(&self, i: usize) -> u16 {
-        self.ents[i].2
-    }
-
-    /// Index of the first entry with key `>= start` (requires `sort`).
-    fn lower_bound(&self, start: &[u8]) -> usize {
-        self.ents
-            .partition_point(|&(s, e, _)| &self.bytes[s..e] < start)
-    }
-}
 
 /// Heap blocks unlinked from a leaf while optimistic readers may still be
 /// traversing them.
@@ -515,7 +451,7 @@ impl<V> LeafNode<V> {
     where
         V: Clone,
     {
-        self.ensure_key_sorted_retiring(bin);
+        self.inc_sort(&mut Vec::new());
         let start = self
             .key_order
             .partition_point(|&i| self.kvs[i as usize].key.as_ref() < lo);
@@ -539,39 +475,44 @@ impl<V> LeafNode<V> {
         (removed, key_bytes)
     }
 
-    /// The paper's `incSort`: brings the key-sorted view up to date by
-    /// sorting the unsorted tail and two-way merging it with the sorted
-    /// prefix, retiring the replaced key-order buffer through `bin`.
-    pub fn ensure_key_sorted_retiring(&mut self, bin: &mut LeafGarbage<V>) {
-        if self.sorted_cnt == self.key_order.len() {
-            return;
-        }
-        let tail_start = self.sorted_cnt;
-        let mut tail: Vec<u16> = self.key_order.split_off(tail_start);
-        tail.sort_unstable_by(|&a, &b| self.kvs[a as usize].key.cmp(&self.kvs[b as usize].key));
-        let sorted = std::mem::take(&mut self.key_order);
-        self.key_order = Vec::with_capacity(sorted.len() + tail.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < sorted.len() && b < tail.len() {
-            if self.kvs[sorted[a] as usize].key <= self.kvs[tail[b] as usize].key {
-                self.key_order.push(sorted[a]);
-                a += 1;
-            } else {
-                self.key_order.push(tail[b]);
-                b += 1;
-            }
-        }
-        self.key_order.extend_from_slice(&sorted[a..]);
-        self.key_order.extend_from_slice(&tail[b..]);
-        self.sorted_cnt = self.key_order.len();
-        // `sorted` is the buffer readers may still hold a pointer into;
-        // `tail` was freshly allocated here and never published.
-        bin.retire_idx_buf(sorted);
+    /// Whether the key-sorted view is current (no unsorted tail).
+    pub fn is_key_sorted(&self) -> bool {
+        self.sorted_cnt == self.key_order.len()
     }
 
-    /// Iterates items in ascending key order. Call
-    /// [`Self::ensure_key_sorted_retiring`] first; otherwise only the sorted
-    /// prefix is guaranteed to be ordered.
+    /// The paper's `incSort`: brings the key-sorted view up to date in
+    /// place. The unsorted tail is ordered in `scratch` (a reusable index
+    /// buffer) and merged with the sorted prefix from the back, so the
+    /// existing `key_order` buffer is rewritten without allocating or
+    /// retiring anything — readers racing an optimistic read see the same
+    /// live buffer throughout, as with any in-place leaf update.
+    pub fn inc_sort(&mut self, scratch: &mut Vec<u16>) {
+        if self.is_key_sorted() {
+            return;
+        }
+        let kvs = &self.kvs;
+        scratch.clear();
+        scratch.extend_from_slice(&self.key_order[self.sorted_cnt..]);
+        scratch.sort_unstable_by(|&a, &b| kvs[a as usize].key.cmp(&kvs[b as usize].key));
+        // Backward merge: the slot filled next (`a + b - 1`) is never below
+        // the last unread sorted entry (`a - 1`), so nothing unread is
+        // overwritten.
+        let (mut a, mut b) = (self.sorted_cnt, scratch.len());
+        while b > 0 {
+            let out = a + b - 1;
+            if a > 0 && kvs[self.key_order[a - 1] as usize].key > kvs[scratch[b - 1] as usize].key {
+                self.key_order[out] = self.key_order[a - 1];
+                a -= 1;
+            } else {
+                self.key_order[out] = scratch[b - 1];
+                b -= 1;
+            }
+        }
+        self.sorted_cnt = self.key_order.len();
+    }
+
+    /// Iterates items in ascending key order. Call [`Self::inc_sort`]
+    /// first; otherwise only the sorted prefix is guaranteed to be ordered.
     pub fn iter_key_order(&self) -> impl Iterator<Item = &Kv<V>> + '_ {
         self.key_order.iter().map(|&i| &self.kvs[i as usize])
     }
@@ -621,8 +562,9 @@ impl<V> LeafNode<V> {
     /// view lags behind (`incSort` not yet run): the sorted prefix and the
     /// unsorted tail are merged on the fly, ordering the tail through
     /// `scratch` (a reusable index buffer) instead of cloning the leaf or
-    /// sorting it in place. Read-only range scans use this so they neither
-    /// mutate the leaf nor copy its keys.
+    /// sorting it in place. The single-threaded cursor uses this because
+    /// its `&self` borrow cannot sort the leaf; the concurrent index sorts
+    /// under the leaf's write lock instead (see [`LeafNode::inc_sort`]).
     pub fn collect_leaf_unsorted<S: RangeSink<V>>(
         &self,
         start: &[u8],
@@ -747,26 +689,26 @@ impl<V> LeafNode<V> {
     }
 
     /// Batch-per-leaf primitive of the concurrent scan cursor: like
-    /// [`LeafNode::collect_leaf_unsorted`], but safe on a leaf a
-    /// concurrent writer may be mutating (see [`LeafNode::get_checked`]):
+    /// [`LeafNode::collect_range_into`], but safe on a leaf a concurrent
+    /// writer may be mutating (see [`LeafNode::get_checked`]):
     /// bounds-checked throughout, and any key whose recorded length exceeds
-    /// `max_key_len` is treated as torn state rather than copied. The
-    /// unsorted tail is snapshotted into `tail` (a reusable
-    /// [`TailScratch`] arena) before it is ordered, so the sort comparator
-    /// never touches racing memory — a comparator over in-flux data would
-    /// not be a total order, which `sort_unstable_by` may punish with a
-    /// panic. Everything accepted by `sink` must be discarded unless the
-    /// caller's seqlock validation succeeds.
-    pub fn collect_leaf_checked<S: RangeSink<V>>(
+    /// `max_key_len` is treated as torn state rather than copied. A lagging
+    /// key-sorted view is a [`ReadConflict`] too: the caller runs `incSort`
+    /// ([`LeafNode::inc_sort`]) under the leaf's write lock and reads again,
+    /// so each leaf is sorted once rather than on every scan. Everything
+    /// accepted by `sink` must be discarded unless the caller's seqlock
+    /// validation succeeds.
+    pub fn collect_leaf_checked<S: RangeSink<V> + ?Sized>(
         &self,
         start: &[u8],
         count: usize,
         sink: &mut S,
-        tail: &mut TailScratch,
         max_key_len: usize,
     ) -> Result<usize, ReadConflict> {
-        let total = self.key_order.len();
-        let sorted_cnt = self.sorted_cnt.min(total);
+        if !self.is_key_sorted() {
+            return Err(ReadConflict);
+        }
+        let sorted = self.key_order.get(..self.sorted_cnt).ok_or(ReadConflict)?;
         let key_of = |idx: u16| -> Result<&Kv<V>, ReadConflict> {
             let kv = self.kvs.get(idx as usize).ok_or(ReadConflict)?;
             if kv.key.len() > max_key_len {
@@ -774,72 +716,30 @@ impl<V> LeafNode<V> {
             }
             Ok(kv)
         };
-        // Snapshot the unsorted tail into the scratch arena — any torn
-        // index or implausible key surfaces as a conflict here — then sort
-        // the owned snapshot (a genuine total order, immune to races).
-        tail.clear();
-        for &idx in self.key_order.get(sorted_cnt..total).ok_or(ReadConflict)? {
-            tail.push(key_of(idx)?.key.as_ref(), idx);
-        }
-        tail.sort();
-        let sorted = self.key_order.get(..sorted_cnt).ok_or(ReadConflict)?;
-        // Checked lower bounds in both runs.
-        let mut a = {
-            let (mut lo, mut hi) = (0usize, sorted.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if key_of(sorted[mid])?.key.as_ref() < start {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        let mut b = tail.lower_bound(start);
-        let mut appended = 0;
-        while appended < count {
-            // Merge the two runs; tail entries reuse their snapshotted key.
-            let take_sorted = match (sorted.get(a), (b < tail.len()).then(|| tail.key(b))) {
-                (Some(&x), Some(tail_key)) => key_of(x)?.key.as_ref() <= tail_key,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_sorted {
-                let kv = key_of(sorted[a])?;
-                a += 1;
-                sink.accept(kv.key.as_ref(), &kv.value);
+        // Checked lower bound.
+        let (mut lo, mut hi) = (0usize, sorted.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if key_of(sorted[mid])?.key.as_ref() < start {
+                lo = mid + 1;
             } else {
-                let idx = tail.idx(b) as usize;
-                let value = &self.kvs.get(idx).ok_or(ReadConflict)?.value;
-                sink.accept(tail.key(b), value);
-                b += 1;
+                hi = mid;
             }
+        }
+        let mut appended = 0;
+        for &idx in &sorted[lo..] {
+            if appended == count {
+                break;
+            }
+            let kv = key_of(idx)?;
+            sink.accept(kv.key.as_ref(), &kv.value);
             appended += 1;
         }
         Ok(appended)
     }
 
-    /// [`LeafNode::collect_leaf_checked`] materialising into a pair vector
-    /// (tests compare it against the unchecked collectors on quiescent
-    /// leaves).
-    pub fn collect_range_checked(
-        &self,
-        start: &[u8],
-        count: usize,
-        out: &mut Vec<(Vec<u8>, V)>,
-        tail: &mut TailScratch,
-        max_key_len: usize,
-    ) -> Result<usize, ReadConflict>
-    where
-        V: Clone,
-    {
-        self.collect_leaf_checked(start, count, out, tail, max_key_len)
-    }
-
     /// Key at sorted position `i` (requires the key-sorted view to be
-    /// current; see [`LeafNode::ensure_key_sorted_retiring`]). Used by the core
+    /// current; see [`LeafNode::inc_sort`]). Used by the core
     /// engine's split-point selection.
     pub fn key_at(&self, i: usize) -> &[u8] {
         debug_assert_eq!(self.sorted_cnt, self.key_order.len());
@@ -927,7 +827,7 @@ impl<V> LeafNode<V> {
         // keeps the "fully sorted" invariant the non-SortByTag configuration
         // relies on for its binary searches.
         self.sorted_cnt = self.sorted_cnt.min(self.key_order.len());
-        self.ensure_key_sorted_retiring(bin);
+        self.inc_sort(&mut Vec::new());
     }
 
     /// Updates the leaf's table key (used when an anchor is relocated with an
@@ -1020,19 +920,50 @@ mod tests {
         for k in ["m", "c", "x", "a", "t", "b"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
-        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        leaf.inc_sort(&mut Vec::new());
         let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"b", b"c", b"m", b"t", b"x"]);
         // Add more after the sort: they form a new unsorted tail.
         for k in ["q", "d"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
-        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        leaf.inc_sort(&mut Vec::new());
         let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(
             keys,
             vec![b"a".as_ref(), b"b", b"c", b"d", b"m", b"q", b"t", b"x"]
         );
+    }
+
+    #[test]
+    fn inc_sort_rewrites_the_key_order_in_place() {
+        let config = cfg();
+        let mut scratch = Vec::new();
+        for seed in 0..32u64 {
+            let mut leaf = LeafNode::new(Vec::new(), Vec::new());
+            let mut model = Vec::new();
+            // Several rounds, each leaving a fresh unsorted tail (of length
+            // 0 on some rounds) behind the previously sorted prefix.
+            for round in 0..4u64 {
+                for j in 0..(seed + round * 3) % 7 {
+                    let key = format!("k{:04}", (seed * 131 + round * 17 + j * 29) % 97);
+                    if insert(&mut leaf, key.as_bytes(), j, &config).is_none() {
+                        model.push(key.into_bytes());
+                    }
+                }
+                let buf = leaf.key_order.as_ptr();
+                let cap = leaf.key_order.capacity();
+                leaf.inc_sort(&mut scratch);
+                assert!(leaf.is_key_sorted());
+                assert_eq!(
+                    (leaf.key_order.as_ptr(), leaf.key_order.capacity()),
+                    (buf, cap)
+                );
+                model.sort();
+                let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
+                assert_eq!(keys, model.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]
@@ -1042,7 +973,7 @@ mod tests {
         for i in 0..10u64 {
             insert(&mut leaf, format!("k{i:02}").as_bytes(), i, &config);
         }
-        leaf.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        leaf.inc_sort(&mut Vec::new());
         let mut out = Vec::new();
         let n = leaf.collect_range_into(b"k03", 4, &mut out);
         assert_eq!(n, 4);
@@ -1091,13 +1022,13 @@ mod tests {
         for k in ["m", "o", "q"] {
             insert(&mut right, k.as_bytes(), 2, &config);
         }
-        left.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        left.inc_sort(&mut Vec::new());
         left.absorb_retiring(right, &mut LeafGarbage::immediate());
         assert_eq!(left.len(), 6);
         for k in ["a", "c", "e", "m", "o", "q"] {
             assert!(get(&left, k.as_bytes(), &config).is_some(), "{k}");
         }
-        left.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+        left.inc_sort(&mut Vec::new());
         let keys: Vec<&[u8]> = left.iter_key_order().map(|kv| kv.key.as_ref()).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"c", b"e", b"m", b"o", b"q"]);
     }
@@ -1127,16 +1058,23 @@ mod tests {
                 );
             }
             assert_eq!(leaf.get_checked(b"zz", crc32c(b"zz"), &config), Ok(None));
-            // Range: the checked collector agrees with the unchecked one
-            // even while the key-sorted view lags behind.
+            // Range: the checked collector refuses a lagging key-sorted
+            // view, and after the in-place incSort agrees with the
+            // unsorted-tail merge of the unchecked collector.
             let mut expect = Vec::new();
             let mut scratch16 = Vec::new();
             leaf.collect_leaf_unsorted(b"ck010", 12, &mut expect, &mut scratch16);
             let mut got = Vec::new();
-            let mut tail_scratch = TailScratch::new();
+            if !leaf.is_key_sorted() {
+                assert_eq!(
+                    leaf.collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20),
+                    Err(ReadConflict)
+                );
+                leaf.inc_sort(&mut scratch16);
+            }
             let n = leaf
-                .collect_range_checked(b"ck010", 12, &mut got, &mut tail_scratch, 1 << 20)
-                .expect("quiescent leaf never conflicts");
+                .collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20)
+                .expect("quiescent sorted leaf never conflicts");
             assert_eq!(n, expect.len());
             assert_eq!(got, expect);
         }

@@ -237,7 +237,7 @@ impl<V: Clone> WormholeUnsafe<V> {
             }
             // Every key in the leaf is >= its anchor.
             let mut leaf_clone = slot.leaf.clone();
-            leaf_clone.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
+            leaf_clone.inc_sort(&mut Vec::new());
             for kv in leaf_clone.iter_key_order() {
                 assert!(
                     kv.key.as_ref() >= anchor.as_slice(),

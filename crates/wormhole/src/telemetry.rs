@@ -26,6 +26,10 @@ pub struct WormholeMetrics {
     /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
     /// a racing merge retired before the neighbour step completed.
     pub lpm_restarts: Counter,
+    /// Leaves a scan found with a lagging key order and sorted in place
+    /// (`incSort`) under the leaf's write lock: at most once per leaf
+    /// between inserts, however often it is scanned.
+    pub scan_leaf_sorts: Counter,
 }
 
 impl WormholeMetrics {
@@ -43,5 +47,9 @@ impl WormholeMetrics {
         registry.register_counter(&format!("{prefix}_splits_total"), &self.splits);
         registry.register_counter(&format!("{prefix}_merges_total"), &self.merges);
         registry.register_counter(&format!("{prefix}_lpm_restarts_total"), &self.lpm_restarts);
+        registry.register_counter(
+            &format!("{prefix}_scan_leaf_sorts_total"),
+            &self.scan_leaf_sorts,
+        );
     }
 }

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use index_traits::{ConcurrentOrderedIndex, OrderedIndex};
+use index_traits::{ConcurrentOrderedIndex, OrderedIndex, RangeSink};
 use proptest::prelude::*;
 use wormhole::meta::{MetaKind, MetaTable, TargetOutcome};
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
@@ -268,7 +268,7 @@ fn single_threaded_cursor_batch_advancement_is_allocation_free() {
 #[test]
 fn concurrent_full_range_from_allocates_only_per_pair_output() {
     // `range_from(b"", usize::MAX)` now streams through the cursor, so its
-    // per-leaf-hop machinery (resume bound, batch arena, tail snapshot)
+    // per-leaf-hop machinery (resume bound, batch arena, incSort scratch)
     // must reuse buffers: the only O(n) allocation left is the unavoidable
     // one key-`Vec` per materialised pair, plus a logarithmic number of
     // buffer growths. A regression that clones the resume key (or any
@@ -292,6 +292,54 @@ fn concurrent_full_range_from_allocates_only_per_pair_output() {
         after - before,
         keys.len(),
     );
+}
+
+/// A [`RangeSink`] that keeps only a tally, standing in for a wire encoder
+/// writing into a pre-sized buffer: whatever allocates during a page is the
+/// scan path itself.
+#[derive(Default)]
+struct Tally {
+    pairs: usize,
+    key_bytes: usize,
+}
+
+impl RangeSink<u64> for Tally {
+    fn accept(&mut self, key: &[u8], _value: &u64) {
+        self.pairs += 1;
+        self.key_bytes += key.len();
+    }
+}
+
+#[test]
+fn scan_page_into_allocates_per_page_not_per_pair() {
+    // A streamed page pays for its cursor (source box, resume keys, batch
+    // arena growth) but nothing per pair or per leaf: a limit-1000 page
+    // crosses ~10 default-capacity leaves, which the first page also has
+    // to sort (random-order inserts leave their tails unsorted), and must
+    // stay under 64 allocations where materialising one `Vec` per key
+    // would cost over 1000.
+    let wh: Wormhole<u64> = Wormhole::new();
+    let n = 20_000u64;
+    for i in 0..n {
+        let k = i * 7919 % n;
+        wh.set(format!("scan-{k:08}").as_bytes(), k);
+    }
+    assert!(wh.get(b"scan-00000000").is_some()); // QSBR/TLS warm-up
+
+    for start in [&b""[..], b"scan-00012345"] {
+        let mut tally = Tally::default();
+        let before = thread_allocs();
+        let resume = wh.scan_page_into(start, 1000, &mut tally);
+        let after = thread_allocs();
+        assert_eq!(tally.pairs, 1000);
+        assert_eq!(tally.key_bytes, 1000 * 13);
+        assert!(resume.is_some(), "a full page has a continuation");
+        assert!(
+            after - before < 64,
+            "a limit-1000 page allocated {} times",
+            after - before,
+        );
+    }
 }
 
 #[test]
